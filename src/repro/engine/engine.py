@@ -36,6 +36,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.merge_tree import fold_shards
 from repro.engine.telemetry import Telemetry
 from repro.errors import EngineError, MalformedRecordError
+from repro.model.lanes import promote_to_columnar
 from repro.model.rankindex import RankIndex, compile_rank_index
 from repro.model.registry import create_summary
 from repro.obs import spans as obs_spans
@@ -256,13 +257,22 @@ class ShardedQuantileEngine:
             return
         payloads = self._executor.collect()
         if payloads is not None:
-            self._universes = [Universe() for _ in payloads]
-            self._shards = [
-                load_summary(payload, universe)
-                for payload, universe in zip(payloads, self._universes)
-            ]
+            self._load_shards(payloads)
             self._merged = None
         self._collect_generation = self._read_generation
+
+    def _load_shards(self, payloads: Sequence[dict]) -> None:
+        """Decode shard payloads into the local mirror, in the engine's lane."""
+        self._universes = [Universe() for _ in payloads]
+        self._shards = [
+            load_summary(payload, universe)
+            for payload, universe in zip(payloads, self._universes)
+        ]
+        if self.config.lane == "columnar":
+            # The codec always decodes into the items lane (one wire format
+            # for both); promote so the mirror keeps the fast path.
+            for shard in self._shards:
+                promote_to_columnar(shard)
 
     def merged_summary(self) -> QuantileSummary:
         """The merge-tree fold of all shards (cached until the next ingest).
@@ -405,17 +415,7 @@ class ShardedQuantileEngine:
         """Rebuild an engine from a checkpoint with exact summary state."""
         parts = checkpoint_io.read_checkpoint(path)
         engine = cls(parts["config"], telemetry=parts["telemetry"])
-        engine._shards = [
-            load_summary(payload, universe)
-            for payload, universe in zip(parts["shard_payloads"], engine._universes)
-        ]
-        if engine.config.lane == "columnar":
-            # The codec always decodes into the items lane (one wire format
-            # for both); promote so restored engines keep the fast path.
-            from repro.model.lanes import promote_to_columnar
-
-            for shard in engine._shards:
-                promote_to_columnar(shard)
+        engine._load_shards(parts["shard_payloads"])
         engine._items_ingested = parts["items_ingested"]
         engine._batches = parts["batches"]
         # Push the restored shard states into the executor (remote executors

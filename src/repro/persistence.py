@@ -17,16 +17,25 @@ type's ``encode``/``decode`` codec, defined next to the algorithm in its own
 summary module.  There is no per-type table here any more — :func:`dump`
 looks the descriptor up by concrete class, :func:`load` by the payload's
 ``type`` field (the class name, kept stable so old checkpoints keep
-loading).  Randomized summaries restore their *structure*; the RNG is
-re-seeded from the stored seed and then fast-forwarded by replaying the
-recorded number of draws, so a restored summary continues exactly like the
-original.
+loading).
+
+Randomized summaries also store their generator: :func:`encode_rng` packs
+the full Mersenne Twister state, and :func:`restore_rng` puts it back with
+one ``setstate``, so a restored summary continues exactly like the original
+and a decode costs O(stored items) however long the stream was.  Payloads
+written before the state was stored carry only the seed (plus, where the
+type keeps one, a draw count); for those each codec passes its own
+*replay*, which re-seeds and redraws every past coin — O(stream), kept only
+so old checkpoints still load to the identical state.
 """
 
 from __future__ import annotations
 
+import base64
+import random
+import struct
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.model.registry import (
@@ -67,6 +76,41 @@ def decode_key(text: str) -> Fraction:
 def epsilon_of(payload: dict) -> Fraction:
     """The exact epsilon a payload was dumped with."""
     return Fraction(payload["epsilon"])
+
+
+def encode_rng(rng: random.Random) -> dict:
+    """``rng``'s full generator state as a JSON-compatible dict.
+
+    The Mersenne Twister's 625 state words are packed little-endian and
+    base64-encoded (3.3 KB), independent of how many draws were made.
+    """
+    version, words, gauss_next = rng.getstate()
+    packed = struct.pack(f"<{len(words)}I", *words)
+    return {
+        "version": version,
+        "words": base64.b64encode(packed).decode("ascii"),
+        "gauss_next": gauss_next,
+    }
+
+
+def restore_rng(
+    rng: random.Random, state: dict | None, replay: Callable[[], None]
+) -> None:
+    """Put ``rng`` into the :func:`encode_rng` ``state`` a payload stored.
+
+    ``state`` is None for payloads written before generator states were
+    stored; ``replay`` then brings the freshly seeded ``rng`` forward by
+    redrawing the payload's past coins.
+    """
+    if state is None:
+        replay()
+        return
+    try:
+        packed = base64.b64decode(state["words"], validate=True)
+        words = struct.unpack(f"<{len(packed) // 4}I", packed)
+        rng.setstate((int(state["version"]), words, state["gauss_next"]))
+    except (KeyError, TypeError, ValueError, struct.error):
+        raise PersistenceError("bad rng state") from None
 
 
 def _ensure_registered() -> None:

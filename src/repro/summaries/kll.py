@@ -29,7 +29,13 @@ from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, index_from_weighted_items
 from repro.model.registry import merge_by_absorbing, register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
-from repro.persistence import decode_key, encode_key, epsilon_of
+from repro.persistence import (
+    decode_key,
+    encode_key,
+    encode_rng,
+    epsilon_of,
+    restore_rng,
+)
 from repro.universe.item import Item
 from repro.universe.universe import Universe
 
@@ -47,6 +53,20 @@ def kll_k_for(epsilon: float, delta: float) -> int:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return max(_MINIMUM_CAPACITY, math.ceil(math.sqrt(math.log(1 / delta)) / epsilon))
+
+
+def _capacity_table(k: int) -> tuple[int, ...]:
+    """Capacity by depth below the top, ``max(2, ceil(k (2/3)^depth))``.
+
+    The table stops at the first depth that reaches the floor; every deeper
+    level has the floor capacity too.
+    """
+    table = []
+    depth = 0
+    while not table or table[-1] > _MINIMUM_CAPACITY:
+        table.append(max(_MINIMUM_CAPACITY, math.ceil(k * (_CAPACITY_DECAY**depth))))
+        depth += 1
+    return tuple(table)
 
 
 class KLL(QuantileSummary):
@@ -83,13 +103,15 @@ class KLL(QuantileSummary):
         self._rng = random.Random(seed)
         self._rng_draws = 0  # counts coin flips, for lossless persistence
         self._compactors: list[list[Item]] = [[]]
+        self._capacities = _capacity_table(self.k)
 
     # -- capacities ---------------------------------------------------------------
 
     def _capacity(self, level: int) -> int:
         """Capacity of ``level``: ``k`` at the top, decaying by 2/3 downward."""
         depth = len(self._compactors) - 1 - level
-        return max(_MINIMUM_CAPACITY, math.ceil(self.k * (_CAPACITY_DECAY**depth)))
+        capacities = self._capacities
+        return capacities[depth] if depth < len(capacities) else _MINIMUM_CAPACITY
 
     # -- processing ----------------------------------------------------------------
 
@@ -110,14 +132,15 @@ class KLL(QuantileSummary):
         ``max_item_count`` trajectory) fires at the same points as
         item-at-a-time processing, while the appends amortise to one
         ``extend`` per cascade.
+
+        Deep in a long stream the level-0 capacity bottoms out at 2 or 3 and
+        a cascade runs every few items, so the cascade must stay cheap:
+        capacities are table lookups, and the stored count is carried
+        rather than re-summed over all levels — a compaction of ``s`` items
+        removes exactly ``s // 2`` of them (half the even-length compacted
+        region is promoted, a leftover odd item stays behind).
         """
         start, total = 0, len(batch)
-        # Level-0 capacity and the stored-item count change only when a
-        # cascade runs, so carry them across slices instead of re-deriving
-        # them per slice: at depth the level-0 capacity bottoms out at 2 and
-        # slices shrink to a couple of items, where a per-slice
-        # ``_item_count`` (a sum over all levels) plus two float-pow
-        # capacity calls used to cost more than the insertion itself.
         level0 = self._compactors[0]
         capacity0 = self._capacity(0)
         count = self._item_count()
@@ -143,13 +166,16 @@ class KLL(QuantileSummary):
                 if peak > self._max_item_count:
                     self._max_item_count = peak
                 level = 0
-                while len(self._compactors[level]) >= self._capacity(level):
+                while True:
+                    size = len(self._compactors[level])
+                    if size < self._capacity(level):
+                        break
                     self._compact(level)
+                    count -= size // 2
                     level += 1
                     if level == len(self._compactors):
                         break
                 capacity0 = self._capacity(0)
-                count = self._item_count()
             if count > self._max_item_count:
                 self._max_item_count = count
 
@@ -317,6 +343,7 @@ def _encode_kll(summary: KLL) -> dict:
         "k": summary.k,
         "seed": summary.seed,
         "rng_state": summary._rng_draws,
+        "rng": encode_rng(summary._rng),
         "compactors": [
             [encode_key(item) for item in compactor]
             for compactor in summary._compactors
@@ -330,9 +357,14 @@ def _decode_kll(payload: dict, universe: Universe) -> KLL:
         [universe.item(decode_key(key)) for key in compactor]
         for compactor in payload["compactors"]
     ]
-    for _ in range(int(payload["rng_state"])):
-        summary._rng.randrange(2)
     summary._rng_draws = int(payload["rng_state"])
+
+    def replay() -> None:
+        # One randrange(2) per compaction since the seed.
+        for _ in range(summary._rng_draws):
+            summary._rng.randrange(2)
+
+    restore_rng(summary._rng, payload.get("rng"), replay)
     return summary
 
 

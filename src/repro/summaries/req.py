@@ -37,7 +37,13 @@ from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, index_from_weighted_items
 from repro.model.registry import merge_by_absorbing, register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
-from repro.persistence import decode_key, encode_key, epsilon_of
+from repro.persistence import (
+    decode_key,
+    encode_key,
+    encode_rng,
+    epsilon_of,
+    restore_rng,
+)
 from repro.universe.item import Item
 from repro.universe.universe import Universe
 
@@ -227,6 +233,7 @@ def _encode_req(summary: RelativeErrorSketch) -> dict:
         "k": summary.k,
         "seed": summary.seed,
         "rng_state": summary._rng_draws,
+        "rng": encode_rng(summary._rng),
         "levels": [
             [encode_key(item) for item in buffer] for buffer in summary._levels
         ],
@@ -241,9 +248,14 @@ def _decode_req(payload: dict, universe: Universe) -> RelativeErrorSketch:
         [universe.item(decode_key(key)) for key in buffer]
         for buffer in payload["levels"]
     ]
-    for _ in range(int(payload["rng_state"])):
-        summary._rng.randrange(2)
     summary._rng_draws = int(payload["rng_state"])
+
+    def replay() -> None:
+        # One randrange(2) per compaction since the seed.
+        for _ in range(summary._rng_draws):
+            summary._rng.randrange(2)
+
+    restore_rng(summary._rng, payload.get("rng"), replay)
     return summary
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from repro.model.registry import register_descriptor
 from repro.model.summary import QuantileSummary
-from repro.persistence import dump, epsilon_of, load
+from repro.persistence import dump, encode_rng, epsilon_of, load, restore_rng
 from repro.summaries.gk import GreenwaldKhanna
 from repro.universe.item import Item
 from repro.universe.universe import Universe
@@ -145,6 +145,7 @@ def _encode_sampled_gk(summary: SampledGK) -> dict:
         "seed": summary.seed,
         "rate": str(Fraction(summary._rate).limit_denominator(10**12)),
         "sampled": summary._sampled,
+        "rng": encode_rng(summary._rng),
         "inner": dump(summary._inner),
     }
 
@@ -156,10 +157,15 @@ def _decode_sampled_gk(payload: dict, universe: Universe) -> SampledGK:
     summary._rate = float(Fraction(payload["rate"]))
     summary._sampled = int(payload["sampled"])
     summary._inner = load(payload["inner"], universe)
-    if summary._rate < 1.0:
-        # One rng.random() per processed item (the sampling coin).
-        for _ in range(int(payload["n"])):
-            summary._rng.random()
+
+    def replay() -> None:
+        # One rng.random() per processed item (the sampling coin), none at
+        # rate 1.
+        if summary._rate < 1.0:
+            for _ in range(int(payload["n"])):
+                summary._rng.random()
+
+    restore_rng(summary._rng, payload.get("rng"), replay)
     return summary
 
 

@@ -18,7 +18,13 @@ from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, build_index
 from repro.model.registry import register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
-from repro.persistence import decode_key, encode_key, epsilon_of
+from repro.persistence import (
+    decode_key,
+    encode_key,
+    encode_rng,
+    epsilon_of,
+    restore_rng,
+)
 from repro.universe.item import Item
 from repro.universe.universe import Universe
 
@@ -132,6 +138,7 @@ def _encode_sampling(summary: ReservoirSampling) -> dict:
     return {
         "m": summary.m,
         "seed": summary.seed,
+        "rng": encode_rng(summary._rng),
         "reservoir": [encode_key(item) for item in summary._reservoir],
     }
 
@@ -143,11 +150,15 @@ def _decode_sampling(payload: dict, universe: Universe) -> ReservoirSampling:
     summary._reservoir = [
         universe.item(decode_key(key)) for key in payload["reservoir"]
     ]
-    # One randrange(j + 1) was drawn per insert after the reservoir filled
-    # (at j = m, m+1, ..., n-1); replaying the same bounds reproduces the
-    # RNG state exactly, so the restored summary continues like the original.
-    for j in range(summary.m, int(payload["n"])):
-        summary._rng.randrange(j + 1)
+
+    def replay() -> None:
+        # One randrange(j + 1) was drawn per insert after the reservoir
+        # filled (at j = m, m+1, ..., n-1); redrawing the same bounds
+        # reproduces the RNG state exactly.
+        for j in range(summary.m, int(payload["n"])):
+            summary._rng.randrange(j + 1)
+
+    restore_rng(summary._rng, payload.get("rng"), replay)
     return summary
 
 

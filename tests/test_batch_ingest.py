@@ -15,6 +15,8 @@ Three pillars of the batch-first pipeline:
   :class:`UnsupportedMergeError` naming the type.
 """
 
+import random
+from array import array
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from repro.model.registry import (
     mergeable_summaries,
 )
 from repro.model.summary import QuantileSummary
+from repro.summaries.kll import KLL
+from repro.universe.item import key_of
 from repro.universe.universe import Universe
 
 ALL_TYPES = [descriptor.name for descriptor in descriptors()]
@@ -59,11 +63,19 @@ def _chunked(values: list, cuts: list[int]) -> list[list]:
 
 
 def _state(summary: QuantileSummary) -> tuple:
-    from repro.universe.item import key_of
-
     return (
         [key_of(item) for item in summary.item_array()],
         summary.fingerprint(),
+        summary.n,
+        summary.max_item_count,
+    )
+
+
+def _kll_state(summary: KLL) -> tuple:
+    return (
+        [[key_of(value) for value in level] for level in summary._compactors],
+        summary._rng_draws,
+        summary._rng.getstate(),
         summary.n,
         summary.max_item_count,
     )
@@ -94,6 +106,46 @@ class TestBatchEquivalence:
                 batched.process_many(Universe().items(chunk))
 
             assert _state(batched) == _state(sequential), name
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=10**6),
+        length=st.integers(min_value=1000, max_value=4000),
+        sizes=st.lists(
+            st.integers(min_value=1, max_value=600), min_size=1, max_size=8
+        ),
+    )
+    def test_kll_deep_regime_equals_per_item_process(self, k, seed, length, sizes):
+        """Small k over thousands of items: the regime of a long stream.
+
+        Level 0 sits at the capacity floor, so cascades fire every couple of
+        items and new top levels arrive mid-cascade (shrinking every lower
+        capacity) — exactly the bookkeeping the batch kernel carries itself.
+        """
+        rng = random.Random(seed)
+        raw = [rng.randrange(-(10**9), 10**9) for _ in range(length)]
+        chunks, start = [], 0
+        while start < length:
+            size = sizes[len(chunks) % len(sizes)]
+            chunks.append(raw[start : start + size])
+            start += size
+
+        sequential = KLL(0.1, k=k, seed=seed)
+        for item in Universe().items(raw):
+            sequential.process(item)
+        assert sequential._capacity(0) == 2
+
+        batched = KLL(0.1, k=k, seed=seed)
+        numeric = KLL(0.1, k=k, seed=seed)
+        for chunk in chunks:
+            batched.process_many(Universe().items(chunk))
+            numeric.process_numeric(array("q", chunk))
+        assert numeric.lane == "columnar"
+
+        expected = _kll_state(sequential)
+        assert _kll_state(batched) == expected
+        assert _kll_state(numeric) == expected
 
     def test_single_call_covers_the_whole_stream(self):
         values = [Fraction(value, 2) for value in range(500)]

@@ -1,6 +1,7 @@
 """Serialisation round-trips for every registered summary type."""
 
 import json
+import random
 
 import pytest
 
@@ -145,16 +146,57 @@ class TestPayloadDetails:
         with pytest.raises(PersistenceError, match="bad item key"):
             load(payload)
 
-    def test_kll_rng_fast_forward(self):
-        # After restore, the next compaction coin flips match the original's.
-        universe = Universe()
-        original = KLL(1 / 8, seed=9)
-        original.process_all(random_stream(universe, 1000, seed=6))
-        restored = roundtrip(original)
-        assert restored._rng_draws == original._rng_draws
-        assert [original._rng.randrange(2) for _ in range(8)] == [
-            restored._rng.randrange(2) for _ in range(8)
-        ]
+    def test_kll_rng_fast_forward(self, monkeypatch):
+        """Every seeded type restores its generator without redrawing coins.
+
+        A payload that stores the generator state loads without a single
+        draw; the same payload without it (as written before states were
+        stored) replays the draws from the seed.  Both end in the original's
+        exact generator state, fingerprint and next coins.
+        """
+        for name, make in SEEDED_FACTORIES.items():
+            original = make()
+            original.process_all(random_stream(Universe(), 3000, seed=6))
+            assert original._rng.getstate() != random.Random(5).getstate(), name
+            payload = json.loads(json.dumps(dump(original)))
+            legacy = {key: value for key, value in payload.items() if key != "rng"}
+
+            with monkeypatch.context() as patch:
+                for method in ("random", "randrange", "getrandbits"):
+                    patch.setattr(random.Random, method, _no_draws)
+                restored = load(payload)
+            replayed = load(legacy)
+
+            for copy in (restored, replayed):
+                assert copy._rng.getstate() == original._rng.getstate(), name
+                assert copy.fingerprint() == original.fingerprint(), name
+                assert getattr(copy, "_rng_draws", None) == getattr(
+                    original, "_rng_draws", None
+                ), name
+            coins = [original._rng.random() for _ in range(8)]
+            assert [restored._rng.random() for _ in range(8)] == coins, name
+            assert [replayed._rng.random() for _ in range(8)] == coins, name
+
+    def test_bad_rng_state_rejected(self):
+        payload = dump(FACTORIES["kll"]())
+        payload["rng"]["words"] = payload["rng"]["words"][:-8]
+        with pytest.raises(PersistenceError, match="bad rng state"):
+            load(payload)
+
+
+# The four types whose codecs store a generator: each must draw coins on a
+# 3000-item stream (so sampled-gk runs at a rate below 1 and the reservoir
+# overflows).
+SEEDED_FACTORIES = {
+    "kll": lambda: KLL(1 / 8, seed=5),
+    "req": lambda: RelativeErrorSketch(1 / 4, k=16, seed=5),
+    "sampled-gk": lambda: SampledGK(1 / 4, n_hint=20_000, seed=5),
+    "sampling": lambda: ReservoirSampling(1 / 8, m=64, seed=5),
+}
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("load drew a coin")
 
 
 def _small_gk():

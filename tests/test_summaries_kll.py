@@ -1,5 +1,7 @@
 """KLL sketch: weight conservation, seeded determinism, error behaviour."""
 
+import math
+
 import pytest
 
 from repro.streams import Stream, random_stream
@@ -33,6 +35,17 @@ class TestStructure:
         sketch.process_all(random_stream(universe, 1000, seed=4))
         array = sketch.item_array()
         assert all(a <= b for a, b in zip(array, array[1:]))
+
+    def test_capacity_table_matches_the_closed_form(self):
+        for k in (2, 3, 7, 8, 43, 456, 10_000):
+            sketch = KLL(0.1, k=k)
+            for height in (1, 2, 5, 20, 60):
+                sketch._compactors = [[] for _ in range(height)]
+                for level in range(height):
+                    depth = height - 1 - level
+                    assert sketch._capacity(level) == max(
+                        2, math.ceil(k * (2 / 3) ** depth)
+                    ), (k, height, level)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ epsilon.  These tests shrink the snapshot cadence through
 and log replay) are exercised on small streams.
 """
 
+import json
 import os
 import signal
 import time
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.engine import EngineConfig, ShardedQuantileEngine
+from repro.persistence import dump as dump_summary
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -124,13 +126,16 @@ class TestCrashRecovery:
             report = engine.executor.health_check()
             assert all(entry["pid"] is not None for entry in report)
 
-    def test_kill_during_health_check_restarts_cleanly(self):
+    def test_kill_during_health_check_restarts_cleanly(self, tight_snapshots):
+        # Long enough for thousands of coin flips per shard, so a restarted
+        # worker that resumed from the wrong RNG state diverges visibly.
+        first, second = _values(12_000), _values(4000, seed=2)
         config = EngineConfig(
             summary="kll", epsilon=0.05, shards=2, seed=1,
-            executor="processes", workers=2,
+            executor="processes", workers=2, batch_size=500,
         )
         with ShardedQuantileEngine(config) as engine:
-            engine.ingest(_values(2000))
+            engine.ingest(first)
             before = engine.executor.worker_pids()
             for pid in before:
                 os.kill(pid, signal.SIGKILL)
@@ -141,11 +146,25 @@ class TestCrashRecovery:
             assert all(pid is not None for pid in after)
             assert set(after).isdisjoint(before)
             # The fleet keeps working after a full massacre.
-            engine.ingest(_values(1000, seed=2))
+            engine.ingest(second)
             straight = ShardedQuantileEngine(
-                EngineConfig(summary="kll", epsilon=0.05, shards=2, seed=1)
+                EngineConfig(
+                    summary="kll", epsilon=0.05, shards=2, seed=1, batch_size=500
+                )
             )
-            straight.ingest(_values(2000) + _values(1000, seed=2))
+            straight.ingest(first + second)
+            assert all(
+                shard._rng_draws >= 1000 for shard in straight.shard_summaries
+            )
+            assert _shard_payloads(engine) == _shard_payloads(straight)
             assert engine.quantiles([0.25, 0.75]) == straight.quantiles(
                 [0.25, 0.75]
             )
+
+
+def _shard_payloads(engine):
+    """Canonical JSON per shard — the bit-identity yardstick."""
+    return [
+        json.dumps(dump_summary(summary), sort_keys=True)
+        for summary in engine.shard_summaries
+    ]

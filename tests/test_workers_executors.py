@@ -224,6 +224,23 @@ class TestProcessPoolBitIdentity:
                 [0.1, 0.5, 0.9]
             )
 
+    @pytest.mark.parametrize("lane", ["items", "columnar"])
+    def test_collected_shards_keep_the_engine_lane(self, lane):
+        # Collected payloads decode into the items lane; the mirror must be
+        # promoted the way a restore is, or every read folds Item keys.
+        lanes = {}
+        for executor in ("serial", "processes"):
+            config = EngineConfig(
+                summary="kll", shards=2, seed=5, lane=lane,
+                executor=executor, workers=2,
+            )
+            with ShardedQuantileEngine(config) as engine:
+                engine.ingest(_values(3000))
+                lanes[executor] = [
+                    entry["lane"] for entry in engine.stats()["shards"]
+                ]
+        assert lanes["serial"] == lanes["processes"] == [lane, lane]
+
     @settings(max_examples=8, deadline=None)
     @given(
         values=st.lists(
