@@ -13,8 +13,9 @@ inserted values, and appends one entry to
 
 Every run is tagged with its wire dialect and reports ``items_per_second``
 (acked inserted values per wall second).  After the client matrix, a
-*same-run* frames-vs-NDJSON comparison drives an insert-only workload on
-the columnar lane over both wires and records the speedup; pass
+*same-run* frames-vs-NDJSON comparison drives an insert-only integer
+workload (which the engine ingests on its columnar lane) over both wires
+and records the speedup; pass
 ``--min-frames-speedup`` to turn that into a hard gate (CI uses 2x; the
 full run targets the 10x the wire redesign was sized for).
 """
@@ -48,7 +49,6 @@ async def run_once(
     args,
     *,
     wire: str = "ndjson",
-    lane: str | None = None,
     insert_ratio: float | None = None,
     values_per_insert: int | None = None,
     ops: int | None = None,
@@ -61,7 +61,6 @@ async def run_once(
             summary=args.summary,
             epsilon=args.epsilon,
             shards=args.shards,
-            lane=lane if lane is not None else args.lane,
         ),
         config=ServiceConfig(
             port=0,
@@ -147,13 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--linger-ms", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument(
-        "--lane",
-        default="items",
-        choices=("items", "columnar"),
-        help="engine lane for the client-matrix runs (the wire comparison "
-        "always runs columnar, where the frame lane pays off end to end)",
-    )
-    parser.add_argument(
         "--wire",
         default="ndjson",
         choices=("ndjson", "frames"),
@@ -231,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
                     comparison_clients,
                     args,
                     wire=wire,
-                    lane="columnar",
                     insert_ratio=1.0,
                     ops=args.comparison_ops,
                     values_per_insert=args.comparison_values,
@@ -254,7 +245,6 @@ def main(argv: list[str] | None = None) -> int:
             else None
         )
         wire_comparison = {
-            "lane": "columnar",
             "clients": comparison_clients,
             "insert_ratio": 1.0,
             "values_per_insert": args.comparison_values,
@@ -283,7 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         "summary": args.summary,
         "epsilon": args.epsilon,
         "shards": args.shards,
-        "lane": args.lane,
         "wire": args.wire,
         "runs": runs,
         "wire_comparison": wire_comparison,

@@ -38,7 +38,6 @@ def engine_config(args: argparse.Namespace) -> EngineConfig:
         merge_strategy=args.merge_strategy,
         seed=args.seed,
         batch_size=args.batch_size,
-        lane=getattr(args, "lane", "items"),
     )
 
 
@@ -171,7 +170,7 @@ def add_parsers(subparsers) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker count for the thread/process/processes executors",
+        help="worker count for the thread/processes executors",
     )
     ingest.add_argument(
         "--executor",
@@ -180,13 +179,6 @@ def add_parsers(subparsers) -> None:
         help="processes = supervised worker processes own the shards",
     )
     ingest.add_argument("--routing", default="hash", choices=("hash", "round-robin"))
-    ingest.add_argument(
-        "--lane",
-        default="items",
-        choices=("items", "columnar"),
-        help="columnar = array-backed numeric fast lane (docs/model.md); "
-        "items = the comparison-model path (the default)",
-    )
     ingest.add_argument(
         "--merge-strategy", default="balanced", choices=("balanced", "left")
     )

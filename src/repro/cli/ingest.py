@@ -149,7 +149,6 @@ def cmd_ingest(args: argparse.Namespace, out: TextIO) -> int:
             follow=args.follow,
             poll_interval_s=args.poll,
             max_polls=args.max_polls,
-            lane=args.lane,
         ),
         registry=registry,
     )
@@ -340,13 +339,6 @@ def add_parsers(subparsers) -> None:
         "--max-polls",
         type=int,
         help="follow mode: give up after N consecutive empty sweeps",
-    )
-    durability.add_argument(
-        "--lane",
-        default="items",
-        choices=("items", "columnar"),
-        help="columnar = pre-parsed numeric batches into the array-backed "
-        "fast lane (docs/model.md); items = the comparison-model path",
     )
 
     checks = ingest.add_argument_group("checks")

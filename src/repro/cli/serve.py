@@ -203,7 +203,7 @@ def add_parsers(subparsers) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker count for the thread/process/processes executors",
+        help="worker count for the thread/processes executors",
     )
     serve.add_argument(
         "--executor",
@@ -212,13 +212,6 @@ def add_parsers(subparsers) -> None:
         help="processes = supervised worker processes own the shards",
     )
     serve.add_argument("--routing", default="hash", choices=("hash", "round-robin"))
-    serve.add_argument(
-        "--lane",
-        default="items",
-        choices=("items", "columnar"),
-        help="columnar = array-backed numeric fast lane (docs/model.md); "
-        "items = the comparison-model path (the default)",
-    )
     serve.add_argument(
         "--merge-strategy", default="balanced", choices=("balanced", "left")
     )

@@ -108,11 +108,6 @@ class SourceConnector(ABC):
             raise ConnectorError("a source connector needs a non-empty name")
         self.name = name
 
-    #: Whether :meth:`numeric_batches` is implemented — the columnar-lane
-    #: fast path that ships pre-parsed int/float batches without building a
-    #: :class:`SourceRecord` (or its position dict) per record.
-    supports_numeric_batches: bool = False
-
     # -- the record stream ---------------------------------------------------------
 
     @abstractmethod
@@ -123,27 +118,6 @@ class SourceConnector(ABC):
         whose underlying file has grown) continues where that position left
         off — this is what makes both crash-resume and tailing work.
         """
-
-    def numeric_batches(
-        self,
-        position: dict | None = None,
-        batch_size: int = 4096,
-        limit: int | None = None,
-    ) -> Iterator[tuple[list, dict]]:
-        """Yield ``(batch, position)`` pairs of pre-parsed values.
-
-        The columnar-lane twin of :meth:`records`: a batch holds raw
-        ``int``/``float`` values for records whose schema is a bare number,
-        and a full :class:`SourceRecord` for anything else (objects,
-        numeric strings, dead-letter candidates) so the runner can keep the
-        exact items-lane handling for them.  ``position`` is the resume
-        point after the *whole* batch; ``limit`` bounds the records
-        consumed.  Only connectors with ``supports_numeric_batches`` set
-        implement this.
-        """
-        raise ConnectorError(
-            f"source {self.name!r} ({self.kind}) has no numeric fast path"
-        )
 
     # -- introspection for preflight ------------------------------------------------
 

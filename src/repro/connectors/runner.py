@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.connectors.base import SourceConnector, SourceRecord
+from repro.connectors.base import SourceConnector
 from repro.connectors.dlq import DeadLetterQueue
 from repro.connectors.offsets import OffsetStore
 from repro.engine.engine import ShardedQuantileEngine, as_fraction
@@ -61,11 +61,6 @@ class RunnerConfig:
     #: In follow mode, give up after this many consecutive empty sweeps
     #: (None = only ``request_stop`` ends the run).
     max_polls: int | None = None
-    #: ``"columnar"`` drains sources through their pre-parsed numeric fast
-    #: path (:meth:`~repro.connectors.base.SourceConnector.numeric_batches`)
-    #: where available, feeding raw ints/floats to a columnar-lane sink;
-    #: ``"items"`` (the default) keeps the per-record Fraction path.
-    lane: str = "items"
 
     def validate(self) -> "RunnerConfig":
         if self.batch_size < 1:
@@ -83,10 +78,6 @@ class RunnerConfig:
         if self.poll_interval_s < 0:
             raise ConnectorError(
                 f"poll_interval_s must be >= 0, got {self.poll_interval_s}"
-            )
-        if self.lane not in ("items", "columnar"):
-            raise ConnectorError(
-                f"unknown lane {self.lane!r}; choose items or columnar"
             )
         return self
 
@@ -345,17 +336,9 @@ class IngestRunner:
                 for source in self.sources:
                     if self._exhausted():
                         break
-                    if (
-                        self.config.lane == "columnar"
-                        and source.supports_numeric_batches
-                    ):
-                        sweep_records += self._drain_source_numeric(
-                            source, reports[source.name], report
-                        )
-                    else:
-                        sweep_records += self._drain_source(
-                            source, reports[source.name], report
-                        )
+                    sweep_records += self._drain_source(
+                        source, reports[source.name], report
+                    )
                 if self._exhausted() or not self.config.follow:
                     break
                 if sweep_records:
@@ -431,70 +414,6 @@ class IngestRunner:
                 # A trailing all-poison tail still advances the offset, so
                 # a resume never re-dead-letters the whole tail.
                 self._flush(source, entry, report, batch, advanced)
-            span.set(
-                records=drained,
-                ingested=entry.ingested,
-                dead_lettered=entry.dead_lettered,
-            )
-            self._set_lag(source)
-        return drained
-
-    def _drain_source_numeric(
-        self, source: SourceConnector, entry: SourceReport, report: RunReport
-    ) -> int:
-        """Columnar-lane drain: pre-parsed numeric batches from the source.
-
-        Same offsets/DLQ/stop semantics as :meth:`_drain_source`, at batch
-        granularity: offsets advance per flushed batch, records the source
-        could not ship raw travel as :class:`SourceRecord` and take the
-        items-lane ``as_fraction`` -> dead-letter path in stream order, and
-        stop/``max_records`` take effect at batch boundaries.
-        """
-        remaining = None
-        if self.config.max_records is not None:
-            remaining = self.config.max_records - self._consumed
-            if remaining <= 0:
-                return 0
-        drained = 0
-        with obs_spans.span(
-            "ingest.connector.drain",
-            source=source.name,
-            kind=source.kind,
-            sink=self.sink.mode,
-        ) as span:
-            batches = source.numeric_batches(
-                self.offsets.get(source.name),
-                batch_size=self.config.batch_size,
-                limit=remaining,
-            )
-            for raw_batch, position in batches:
-                drained += len(raw_batch)
-                self._consumed += len(raw_batch)
-                entry.records += len(raw_batch)
-                self._count_records(source.name, len(raw_batch))
-                batch: list = []
-                for value in raw_batch:
-                    if isinstance(value, SourceRecord):
-                        if value.error is not None:
-                            self.dlq.put(value, value.error, value.detail)
-                            entry.dead_lettered += 1
-                            continue
-                        try:
-                            batch.append(
-                                as_fraction(
-                                    value.value,
-                                    source=value.source,
-                                    index=value.index,
-                                )
-                            )
-                        except MalformedRecordError as error:
-                            self.dlq.put(value, error.code, str(error))
-                            entry.dead_lettered += 1
-                    else:
-                        batch.append(value)
-                self._flush(source, entry, report, batch, position)
-                if self._exhausted():
-                    break
             span.set(
                 records=drained,
                 ingested=entry.ingested,

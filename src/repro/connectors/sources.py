@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import random
 from pathlib import Path
 from typing import Iterator
@@ -211,86 +210,6 @@ class JsonlSource(_FileSource):
         description = super().describe()
         description.detail["field"] = self.field
         return description
-
-    # -- the columnar fast path ----------------------------------------------------
-
-    supports_numeric_batches = True
-
-    def numeric_batches(
-        self,
-        position: dict | None = None,
-        batch_size: int = 4096,
-        limit: int | None = None,
-    ) -> Iterator[tuple[list, dict]]:
-        """Pre-parsed batches for files whose schema is a bare number.
-
-        Each line still goes through ``json.loads`` (exact semantics), but
-        a decoded bare non-bool finite number skips the per-record
-        ``SourceRecord``/position-dict round-trip and rides raw.  Anything
-        else — objects, numeric strings, NaN/Infinity, dead-letter
-        candidates — re-extracts through the items-lane logic and travels
-        as a full :class:`SourceRecord` in stream order.
-        """
-        if not self.path.exists():
-            raise ConnectorError(f"source {self.name!r}: {self.path} does not exist")
-        byte = int(position["byte"]) if position else 0
-        index = int(position["records"]) if position else 0
-        consumed = 0
-        batch: list = []
-        loads = json.loads
-        with open(self.path, "rb") as handle:
-            if byte:
-                handle.seek(byte)
-            while limit is None or consumed < limit:
-                raw_line = handle.readline()
-                if not raw_line:
-                    break
-                byte += len(raw_line)
-                try:
-                    text = raw_line.decode()
-                except UnicodeDecodeError as error:
-                    batch.append(
-                        SourceRecord(
-                            source=self.name,
-                            index=index,
-                            raw=repr(raw_line),
-                            position={"byte": byte, "records": index + 1},
-                            error=ERR_BAD_ROW,
-                            detail=f"line is not valid UTF-8: {error}",
-                        )
-                    )
-                    index += 1
-                    consumed += 1
-                else:
-                    if not text.strip():
-                        continue
-                    try:
-                        decoded = loads(text)
-                    except json.JSONDecodeError:
-                        decoded = None
-                    kind = type(decoded)
-                    if kind is int or (kind is float and math.isfinite(decoded)):
-                        batch.append(decoded)
-                    else:
-                        value, error, detail = self._extract(text)
-                        batch.append(
-                            SourceRecord(
-                                source=self.name,
-                                index=index,
-                                raw=text.rstrip("\n"),
-                                position={"byte": byte, "records": index + 1},
-                                value=value,
-                                error=error,
-                                detail=detail,
-                            )
-                        )
-                    index += 1
-                    consumed += 1
-                if len(batch) >= batch_size:
-                    yield batch, {"byte": byte, "records": index}
-                    batch = []
-        if batch:
-            yield batch, {"byte": byte, "records": index}
 
 
 class CsvSource(_FileSource):
@@ -563,30 +482,6 @@ class SyntheticSource(SourceConnector):
                 "exists": True,
             },
         )
-
-    # -- the columnar fast path ----------------------------------------------------
-
-    supports_numeric_batches = True
-
-    def numeric_batches(
-        self,
-        position: dict | None = None,
-        batch_size: int = 4096,
-        limit: int | None = None,
-    ) -> Iterator[tuple[list, dict]]:
-        """The same seeded integer stream, batched raw (no per-record dicts)."""
-        start = int(position["records"]) if position else 0
-        stop = self.count if limit is None else min(self.count, start + limit)
-        rng = random.Random(self.seed)
-        for _ in range(start):
-            rng.randint(self.low, self.high)
-        randint, low, high = rng.randint, self.low, self.high
-        index = start
-        while index < stop:
-            take = min(batch_size, stop - index)
-            batch = [randint(low, high) for _ in range(take)]
-            index += take
-            yield batch, {"records": index}
 
     def validate_position(self, position: dict | None) -> list[str]:
         if position is None:

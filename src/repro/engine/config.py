@@ -20,17 +20,14 @@ from dataclasses import dataclass, field
 from repro.errors import EngineError
 from repro.model.registry import (
     available_summaries,
-    columnar_summaries,
-    get_descriptor,
     has_merge,
     mergeable_summaries,
     summary_factory,
 )
 
-EXECUTORS = ("serial", "thread", "process", "processes")
+EXECUTORS = ("serial", "thread", "processes")
 ROUTINGS = ("hash", "round-robin")
 MERGE_STRATEGIES = ("balanced", "left")
-LANES = ("items", "columnar")
 
 CONFIG_FORMAT = 1
 
@@ -53,15 +50,13 @@ class EngineConfig:
         Number of independent per-shard summaries.
     workers:
         Worker-pool size for parallel shard ingestion.  Only meaningful for
-        the ``thread``, ``process`` and ``processes`` executors (capped at
-        ``shards`` for ``processes``).
+        the ``thread`` and ``processes`` executors (capped at ``shards`` for
+        ``processes``).
     executor:
         ``serial`` (in-loop), ``thread`` (a thread per busy shard, capped at
-        ``workers``), ``process`` (sub-batches summarised in worker
-        processes and merged in; requires a mergeable summary, like
-        queries), or ``processes`` (long-lived supervised worker processes
-        *own* disjoint shard subsets and stream batches through codec IPC —
-        real parallelism, bit-identical to ``serial``; see
+        ``workers``), or ``processes`` (long-lived supervised worker
+        processes *own* disjoint shard subsets and stream batches through
+        codec IPC — real parallelism, bit-identical to ``serial``; see
         :mod:`repro.engine.workers`).
     routing:
         ``hash`` (value-hashed, same value always lands on the same shard) or
@@ -76,12 +71,6 @@ class EngineConfig:
         seedable, so shards draw independent (but reproducible) randomness.
     batch_size:
         Default number of items routed per ingest round.
-    lane:
-        ``items`` (the comparison-model default: every key wrapped in an
-        Item) or ``columnar`` (raw numeric keys end to end for int-faithful
-        input, with native/array batch kernels; see docs/model.md "Lanes").
-        Requires a columnar-capable summary type.  Answers are identical in
-        both lanes; adversary/compliance runs should keep ``items``.
     summary_kwargs:
         Extra keyword arguments forwarded to the summary factory
         (e.g. ``{"n_hint": 100_000}`` for MRL).
@@ -96,7 +85,6 @@ class EngineConfig:
     merge_strategy: str = "balanced"
     seed: int = 0
     batch_size: int = 4096
-    lane: str = "items"
     summary_kwargs: dict = field(default_factory=dict)
 
     def validate(self) -> "EngineConfig":
@@ -144,16 +132,6 @@ class EngineConfig:
             raise EngineError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
-        if self.lane not in LANES:
-            raise EngineError(
-                f"unknown lane {self.lane!r}; choose from: " + ", ".join(LANES)
-            )
-        if self.lane == "columnar" and not get_descriptor(self.summary).columnar:
-            capable = ", ".join(columnar_summaries())
-            raise EngineError(
-                f"summary type {self.summary!r} has no columnar lane; "
-                f"columnar-capable types: {capable}"
-            )
         return self
 
     # -- per-shard factory kwargs -------------------------------------------------
@@ -187,7 +165,6 @@ class EngineConfig:
             "merge_strategy": self.merge_strategy,
             "seed": self.seed,
             "batch_size": self.batch_size,
-            "lane": self.lane,
             "summary_kwargs": dict(self.summary_kwargs),
         }
 
@@ -197,17 +174,20 @@ class EngineConfig:
             raise EngineError(
                 f"unsupported engine-config format {payload.get('format')!r}"
             )
+        # Older checkpoints may carry a ``lane`` key (the lane is now read
+        # off each batch, so it is ignored) or the retired merge-built
+        # ``process`` executor: shard payloads do not depend on the executor
+        # that built them, so those restore onto ``serial``.
+        executor = payload["executor"]
         return cls(
             summary=payload["summary"],
             epsilon=float(payload["epsilon"]),
             shards=int(payload["shards"]),
             workers=int(payload["workers"]),
-            executor=payload["executor"],
+            executor="serial" if executor == "process" else executor,
             routing=payload["routing"],
             merge_strategy=payload["merge_strategy"],
             seed=int(payload["seed"]),
             batch_size=int(payload["batch_size"]),
-            # Checkpoints from before the columnar lane carry no lane field.
-            lane=payload.get("lane", "items"),
             summary_kwargs=dict(payload.get("summary_kwargs", {})),
         ).validate()

@@ -238,8 +238,8 @@ class ShardedQuantileEngine:
         self._shards[index].process_many(self._universes[index].items(values))
 
     def _feed_shard_numeric(self, index: int, values: list[int]) -> None:
-        # Columnar lane: raw numeric keys go straight to the shard, no
-        # Item/Fraction wrappers on the ingest path at all.
+        # Columnar lane (an int-faithful batch): raw numeric keys go straight
+        # to the shard, no Item/Fraction wrappers on the ingest path at all.
         self._shards[index].process_numeric(values)
 
     # -- queries -------------------------------------------------------------------
@@ -262,17 +262,17 @@ class ShardedQuantileEngine:
         self._collect_generation = self._read_generation
 
     def _load_shards(self, payloads: Sequence[dict]) -> None:
-        """Decode shard payloads into the local mirror, in the engine's lane."""
+        """Decode shard payloads into the local mirror, columnar where possible."""
         self._universes = [Universe() for _ in payloads]
         self._shards = [
             load_summary(payload, universe)
             for payload, universe in zip(payloads, self._universes)
         ]
-        if self.config.lane == "columnar":
-            # The codec always decodes into the items lane (one wire format
-            # for both); promote so the mirror keeps the fast path.
-            for shard in self._shards:
-                promote_to_columnar(shard)
+        # The codec always decodes into the items lane (one wire format for
+        # both); promotion keeps the fast path for integral state and
+        # refuses, harmlessly, for anything else.
+        for shard in self._shards:
+            promote_to_columnar(shard)
 
     def merged_summary(self) -> QuantileSummary:
         """The merge-tree fold of all shards (cached until the next ingest).

@@ -9,7 +9,6 @@ name       implementation                                 shard state
 ========== ============================================== ==================
 serial     :class:`~repro.engine.workers.inline.SerialExecutor`   in-process
 thread     :class:`~repro.engine.workers.inline.ThreadExecutor`   in-process
-process    :class:`~repro.engine.workers.subbatch.SubbatchExecutor` in-process (merge-built)
 processes  :class:`~repro.engine.workers.pool.ProcessPoolExecutor` worker-owned
 ========== ============================================== ==================
 """
@@ -17,7 +16,6 @@ processes  :class:`~repro.engine.workers.pool.ProcessPoolExecutor` worker-owned
 from repro.engine.workers.base import ShardExecutor
 from repro.engine.workers.inline import SerialExecutor, ThreadExecutor
 from repro.engine.workers.pool import ProcessPoolExecutor
-from repro.engine.workers.subbatch import SubbatchExecutor, summarise_subbatch
 from repro.engine.workers.supervisor import (
     DEFAULT_SNAPSHOT_EVERY,
     DEFAULT_WINDOW,
@@ -31,7 +29,6 @@ from repro.errors import EngineError
 _EXECUTOR_TYPES: dict[str, type[ShardExecutor]] = {
     SerialExecutor.kind: SerialExecutor,
     ThreadExecutor.kind: ThreadExecutor,
-    SubbatchExecutor.kind: SubbatchExecutor,
     ProcessPoolExecutor.kind: ProcessPoolExecutor,
 }
 
@@ -61,11 +58,9 @@ __all__ = [
     "START_METHOD_ENV",
     "SerialExecutor",
     "ShardExecutor",
-    "SubbatchExecutor",
     "Supervisor",
     "ThreadExecutor",
     "WorkerHandle",
     "create_executor",
     "executor_kinds",
-    "summarise_subbatch",
 ]

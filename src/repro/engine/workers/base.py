@@ -12,10 +12,6 @@ live and *which interpreter* runs their batch kernels:
 * :class:`~repro.engine.workers.inline.ThreadExecutor` — same in-process
   shards, one thread per busy shard (GIL-bound; useful for I/O-heavy
   summary types only).
-* :class:`~repro.engine.workers.subbatch.SubbatchExecutor` — the legacy
-  ``process`` mode: sub-batches are summarised in short-lived worker
-  processes and *merged* into the coordinator's shards (mergeable-summary
-  style; shard state is merge-built, not stream-built).
 * :class:`~repro.engine.workers.pool.ProcessPoolExecutor` — the ``processes``
   mode: long-lived worker processes *own* disjoint subsets of the shards,
   receive routed sub-batches over codec IPC, apply them with the shard
@@ -26,8 +22,10 @@ live and *which interpreter* runs their batch kernels:
 The contract that keeps every executor honest: **a shard is a deterministic
 function of the value subsequence routed to it**.  Executors may move a
 shard between interpreters, but they must apply exactly the routed values,
-in routing order, through ``process_many`` — so serial and process-pool
-runs of the same config produce bit-identical shard states.
+in routing order, through ``process_many`` — or ``process_numeric`` when the
+values are ints and the summary type is columnar-capable, which leaves the
+same state — so serial and process-pool runs of the same config produce
+bit-identical shard states.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class ShardExecutor(ABC):
         """Context held for one :meth:`engine.ingest` call.
 
         Inline executors return a null context; executors that want a
-        per-call worker pool (the legacy thread/sub-batch modes) create it
-        here so idle engines hold no threads or processes.
+        per-call worker pool (the thread mode) create it here so idle
+        engines hold no threads.
         """
         return contextlib.nullcontext()
 

@@ -19,37 +19,43 @@ from repro.engine.engine import as_fraction
 from repro.engine.routing import route_batch
 from repro.engine.workers.base import ShardExecutor
 from repro.engine.workers.ipc import fast_int_buckets
+from repro.model.registry import get_descriptor
 
 
 class _InlineExecutor(ShardExecutor):
     """Shared plumbing for executors whose shards live in the engine."""
 
+    def bind(self, engine) -> None:
+        super().bind(engine)
+        self._columnar = get_descriptor(engine.config.summary).columnar
+
     def _route(self, values: Sequence, already_ingested: int):
-        """Normalise and route one raw batch; returns (fractions, buckets, busy)."""
-        engine = self.engine
-        fractions = [as_fraction(value) for value in values]
-        buckets = route_batch(
-            fractions, engine.config.shards, engine.config.routing, already_ingested
-        )
-        busy = [index for index, bucket in enumerate(buckets) if bucket]
-        return fractions, buckets, busy
+        """Route one raw batch; returns (buckets, feed, busy).
 
-    def _numeric_buckets(self, values: Sequence, already_ingested: int):
-        """Columnar-lane routing: raw int buckets, or None to use `_route`.
-
-        Only batches faithful to their int64 image qualify (the
-        :func:`fast_int_buckets` contract); anything else — non-integral
-        floats, huge ints, malformed records — returns None so the
-        Fraction path keeps owning both the semantics and the errors.
+        The lane is a property of the batch.  When every value is faithful
+        to an int (the :func:`fast_int_buckets` contract) and the summary
+        type is columnar-capable, the raw int buckets feed
+        ``process_numeric``; anything else — non-integral values, malformed
+        records, summary types without a columnar lane — takes the exact
+        Fraction path, which owns both the semantics and the errors.
         """
-        if self.engine.config.lane != "columnar":
-            return None
-        return fast_int_buckets(
-            values,
-            self.engine.config.shards,
-            self.engine.config.routing,
-            already_ingested,
-        )
+        engine = self.engine
+        config = engine.config
+        buckets = None
+        if self._columnar:
+            buckets = fast_int_buckets(
+                values, config.shards, config.routing, already_ingested
+            )
+        if buckets is not None:
+            feed = engine._feed_shard_numeric
+        else:
+            fractions = [as_fraction(value) for value in values]
+            buckets = route_batch(
+                fractions, config.shards, config.routing, already_ingested
+            )
+            feed = engine._feed_shard
+        busy = [index for index, bucket in enumerate(buckets) if bucket]
+        return buckets, feed, busy
 
     def shard_counts(self) -> list[int]:
         return [summary.n for summary in self.engine._shards]
@@ -61,17 +67,10 @@ class SerialExecutor(_InlineExecutor):
     kind = "serial"
 
     def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
-        engine = self.engine
-        numeric = self._numeric_buckets(values, already_ingested)
-        if numeric is not None:
-            busy = [index for index, bucket in enumerate(numeric) if bucket]
-            for index in busy:
-                engine._feed_shard_numeric(index, numeric[index])
-            return len(values), len(busy)
-        fractions, buckets, busy = self._route(values, already_ingested)
+        buckets, feed, busy = self._route(values, already_ingested)
         for index in busy:
-            engine._feed_shard(index, buckets[index])
-        return len(fractions), len(busy)
+            feed(index, buckets[index])
+        return len(values), len(busy)
 
 
 class ThreadExecutor(_InlineExecutor):
@@ -102,29 +101,10 @@ class ThreadExecutor(_InlineExecutor):
         return self._session()
 
     def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
-        engine = self.engine
-        numeric = self._numeric_buckets(values, already_ingested)
-        if numeric is not None:
-            busy = [index for index, bucket in enumerate(numeric) if bucket]
-            if self._pool is not None and len(busy) > 1:
-                list(
-                    self._pool.map(
-                        lambda index: engine._feed_shard_numeric(index, numeric[index]),
-                        busy,
-                    )
-                )
-            else:
-                for index in busy:
-                    engine._feed_shard_numeric(index, numeric[index])
-            return len(values), len(busy)
-        fractions, buckets, busy = self._route(values, already_ingested)
+        buckets, feed, busy = self._route(values, already_ingested)
         if self._pool is not None and len(busy) > 1:
-            list(
-                self._pool.map(
-                    lambda index: engine._feed_shard(index, buckets[index]), busy
-                )
-            )
+            list(self._pool.map(lambda index: feed(index, buckets[index]), busy))
         else:
             for index in busy:
-                engine._feed_shard(index, buckets[index])
-        return len(fractions), len(busy)
+                feed(index, buckets[index])
+        return len(values), len(busy)

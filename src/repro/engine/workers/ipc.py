@@ -21,23 +21,23 @@ Worker -> coordinator::
 
 Values ride in one of three encodings chosen per sub-batch:
 
-* ``"ints"`` — plain Python ints (the numerators of integral rationals).
-  This is the hot path: a million ints pickle in ~17 ms, two orders of
-  magnitude cheaper than shipping Fraction objects, and the worker rebuilds
-  ``Fraction(v)`` losslessly.
+* ``"i64"`` — a routed int bucket packed into one contiguous
+  ``array('q')`` buffer.  This is the hot path: one bytes object pickles
+  as a single memcpy, and a columnar-capable shard applies it via
+  ``process_numeric`` without ever materialising Fractions or Items.
+* ``"ints"`` — plain Python ints: an int bucket holding a value outside
+  int64 range, or the numerators of an integral bucket of rationals.
+  Workers treat it exactly like ``"i64"``.
 * ``"pairs"`` — ``(numerator, denominator)`` tuples for non-integral
   rationals; ``Fraction(n, d)`` rebuilds them exactly (inputs are already
   normalised, so the gcd pass is cheap).
-* ``"i64"`` — the columnar lane: a routed int bucket packed into one
-  contiguous ``array('q')`` buffer, applied shard-side via
-  ``process_numeric`` without ever materialising Fractions or Items.  A
-  bucket holding an int outside int64 range falls back to ``"ints"``.
 
-Routing fast path: when a whole raw batch is plain ints the coordinator
-routes *before* any Fraction is built, using :func:`route_int_batch` — an
-int-specialised twin of :func:`repro.engine.routing.route_batch` that
-produces bit-identical bucket assignments (``Fraction(v)`` has numerator
-``v`` and denominator 1, and SplitMix64 only ever sees those two ints).
+Routing fast path: when every value of a raw batch is int-faithful the
+coordinator routes *before* any Fraction is built, using
+:func:`fast_int_buckets` — an int-specialised twin of
+:func:`repro.engine.routing.route_batch` that produces bit-identical bucket
+assignments (``Fraction(v)`` has numerator ``v`` and denominator 1, and
+SplitMix64 only ever sees those two ints).
 Summaries themselves always travel as :mod:`repro.persistence` payloads —
 the same codec checkpoints use — so worker state is exactly as durable and
 diffable as checkpointed state.
@@ -62,7 +62,7 @@ _VECTOR_MIN_BATCH = 1024
 #: Encoding tags for value sub-batches.
 MODE_INTS = "ints"
 MODE_PAIRS = "pairs"
-#: Columnar lane: a contiguous little/big-endian-native int64 buffer
+#: Int buckets: a contiguous little/big-endian-native int64 buffer
 #: (``array('q').tobytes()``).  Pickling one bytes object instead of a list
 #: of ints keeps the frame a single memcpy on both sides of the pipe.
 MODE_I64 = "i64"
@@ -100,9 +100,34 @@ def route_int_batch(
     return buckets
 
 
-def all_plain_ints(values: Sequence) -> bool:
-    """True when every raw value is exactly ``int`` (bool excluded)."""
-    return all(type(value) is int for value in values)
+def _int_image(values: Sequence) -> "list[int] | None":
+    """Each value as the exact int it equals, or None if one equals none.
+
+    The pure-Python twin of the vectorised faithfulness test: ``True``,
+    ``2.0`` and ``Fraction(4, 2)`` map to ``1``, ``2`` and ``2``; ``2.5``,
+    ``nan``, ``inf``, strings and anything else without an equal int
+    refuse.  Ints are unbounded here — the caller's int64 packing handles
+    the range.
+    """
+    image: list[int] = []
+    append = image.append
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            append(value)
+        elif kind is Fraction:
+            if value.denominator != 1:
+                return None
+            append(value.numerator)
+        else:
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if whole != value:
+                return None
+            append(whole)
+    return image
 
 
 def _splitmix64_vec(x):
@@ -127,17 +152,21 @@ def fast_int_buckets(
     kernel — all take them without materialising Python ints); the
     pure-Python fallback returns plain lists.
 
-    The vectorised path accepts any batch whose every element is *exactly
-    equal* to its int64 conversion.  Exact equality is the faithfulness
-    test that makes the shortcut sound: for such a value ``v``,
-    ``as_fraction(v)`` is ``Fraction(int(v))`` (numerator ``int(v)``,
-    denominator 1) — ``True`` and ``2.0`` included — so hash routing on the
-    int64 image and shipping bare numerators is bit-identical to the
-    Fraction path.  ``2.5`` fails the equality test, ``nan``/``inf``/huge
-    ints fail the conversion, strings fail the cast; they all fall back,
-    first to the pure-Python int loop, else to the caller's Fraction path
-    (which owns the error semantics).  The int64 -> uint64 reinterpretation
-    is two's complement, i.e. exactly ``numerator & _MASK64``.
+    A batch qualifies when every element is *exactly equal* to an int.
+    Exact equality is the faithfulness test that makes the shortcut sound:
+    for such a value ``v``, ``as_fraction(v)`` is ``Fraction(int(v))``
+    (numerator ``int(v)``, denominator 1) — ``True``, ``2.0`` and integral
+    Fractions included — so hash routing on the int image and shipping bare
+    numerators is bit-identical to the Fraction path.  The vectorised path
+    applies the test against the int64 conversion; ``2.5`` fails the
+    equality test, ``nan``/``inf``/huge values fail the conversion, strings
+    fail the cast.  Anything it refuses goes to the pure-Python
+    :func:`_int_image`, which accepts the same values (and ints beyond
+    int64), so whether a batch qualifies depends on its values only, never
+    on its length.  A refusal there leaves the batch to the caller's
+    Fraction path (which owns the error semantics).  The int64 -> uint64
+    reinterpretation is two's complement, i.e. exactly
+    ``numerator & _MASK64``.
     """
     if _np is not None and len(values) >= _VECTOR_MIN_BATCH:
         if isinstance(values, array) and values.typecode == "q":
@@ -175,11 +204,10 @@ def fast_int_buckets(
                 bucket.frombytes(vector[indexes == _np.uint64(index)].tobytes())
                 buckets.append(bucket)
             return buckets
-    if isinstance(values, array):
-        values = values.tolist()
-    if all_plain_ints(values):
-        return route_int_batch(values, shard_count, routing, already_ingested)
-    return None
+    ints = _int_image(values)
+    if ints is None:
+        return None
+    return route_int_batch(ints, shard_count, routing, already_ingested)
 
 
 def encode_fractions(values: Sequence[Fraction]) -> tuple[str, list]:
@@ -202,12 +230,13 @@ def encode_fractions(values: Sequence[Fraction]) -> tuple[str, list]:
 
 
 def encode_int_bucket(values: Sequence[int]) -> tuple[str, object]:
-    """Encode an already-routed int bucket for the columnar lane.
+    """Encode an already-routed int bucket.
 
     The hot case packs the bucket into one contiguous int64 buffer
     (``"i64"``); a value outside int64 range overflows the array and the
-    bucket falls back to the plain int-list encoding (``"ints"``), which
-    both lanes accept.
+    bucket falls back to the plain int-list encoding (``"ints"``).  Both
+    decode as raw ints (:func:`decode_numeric`) or as exact rationals
+    (:func:`decode_values`).
     """
     try:
         return MODE_I64, array("q", values).tobytes()
@@ -216,7 +245,7 @@ def encode_int_bucket(values: Sequence[int]) -> tuple[str, object]:
 
 
 def decode_numeric(mode: str, payload) -> list[int]:
-    """Rebuild an int bucket shipped for the columnar lane as raw ints."""
+    """Rebuild an int bucket as raw ints (the columnar lane's view)."""
     if mode == MODE_I64:
         buffer = array("q")
         buffer.frombytes(payload)
@@ -233,7 +262,7 @@ def decode_values(mode: str, payload) -> list[Fraction]:
     if mode == MODE_PAIRS:
         return [Fraction(numerator, denominator) for numerator, denominator in payload]
     if mode == MODE_I64:
-        # Defensive: an i64 frame reaching an items-lane consumer decodes
-        # to the identical rationals the ints encoding would have carried.
+        # Int buckets for a summary type without a columnar lane decode to
+        # the identical rationals the ints encoding would have carried.
         return [Fraction(value) for value in decode_numeric(mode, payload)]
     raise ValueError(f"unknown value encoding {mode!r}")

@@ -1,24 +1,24 @@
 """The ``processes`` executor: worker processes own the shards.
 
-Unlike the legacy sub-batch mode, shard summaries *live* in long-running
-worker processes here.  The coordinator's per-batch work shrinks to routing
-and cheap encoding:
+Shard summaries *live* in long-running worker processes here.  The
+coordinator's per-batch work shrinks to routing and cheap encoding:
 
 * When a raw batch is int-faithful (the common synthetic/bench shape),
   routing runs on the ints directly (:func:`~repro.engine.workers.ipc
   .fast_int_buckets`, vectorised when numpy is importable, bit-identical
-  to routing ``Fraction(v)`` either way) and each bucket ships as bare
-  ints — Fraction construction, the single biggest serial cost, moves
-  into the workers and parallelises.
+  to routing ``Fraction(v)`` either way) and each bucket packs into one
+  contiguous int64 buffer (``"i64"``, or bare ints beyond int64).  Workers
+  apply int buckets through ``process_numeric`` when the summary type is
+  columnar-capable, so no Fraction or Item is built on either side of the
+  pipe; other types rebuild exact Fractions worker-side, which moves the
+  single biggest serial cost into the workers.
 * Otherwise the batch is normalised through
   :func:`~repro.engine.engine.as_fraction` first — so malformed values
   raise exactly like the serial path, before any worker mutates — and
-  buckets ship as ``(numerator, denominator)`` pairs (or bare numerators
-  when integral).
-* On the columnar lane (``EngineConfig.lane == "columnar"``) int-faithful
-  buckets additionally pack into contiguous int64 buffers (``"i64"``) and
-  the workers apply them through ``process_numeric`` — no Fraction or Item
-  is built on either side of the pipe.
+  buckets ship as ``(numerator, denominator)`` pairs, or as bare
+  numerators when integral, which a worker applies like any int bucket.
+  Lanes are representation-only, so either way the shard state is the
+  serial path's.
 
 Batches pipeline: ``apply_batch`` returns once the sub-batches are on the
 pipes, the supervisor's ack window bounds the in-flight depth, and the
@@ -35,7 +35,6 @@ from repro.engine.engine import as_fraction
 from repro.engine.routing import route_batch
 from repro.engine.workers.base import ShardExecutor
 from repro.engine.workers.ipc import (
-    MODE_INTS,
     encode_fractions,
     encode_int_bucket,
     fast_int_buckets,
@@ -78,16 +77,9 @@ class ProcessPoolExecutor(ShardExecutor):
             values, config.shards, config.routing, already_ingested
         )
         if buckets is not None:
-            items = len(values)
-            if config.lane == "columnar":
-                # Columnar lane: pack each routed bucket into one contiguous
-                # int64 buffer; the worker applies it via process_numeric.
-                encoded = [encode_int_bucket(bucket) for bucket in buckets]
-            else:
-                encoded = [(MODE_INTS, bucket) for bucket in buckets]
+            encoded = [encode_int_bucket(bucket) for bucket in buckets]
         else:
             fractions = [as_fraction(value) for value in values]
-            items = len(fractions)
             buckets = route_batch(
                 fractions, config.shards, config.routing, already_ingested
             )
@@ -105,7 +97,7 @@ class ProcessPoolExecutor(ShardExecutor):
             )
         if assignments:
             supervisor.submit(assignments)
-        return items, busy
+        return len(values), busy
 
     def sync(self) -> None:
         self.supervisor.sync()

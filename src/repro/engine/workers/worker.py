@@ -11,9 +11,11 @@ Determinism contract: the worker builds each shard summary with exactly the
 factory call the serial engine would have used
 (:meth:`~repro.engine.config.EngineConfig.shard_kwargs`, same per-shard
 seed) and applies the routed value subsequences in arrival order through
-``process_many``.  Shard state is therefore bit-identical to a serial run —
-the supervisor's crash recovery (restore last snapshot, replay the batch
-log) leans on this to make a SIGKILLed worker reconstructible.
+``process_many`` (``process_numeric`` for the int buckets of a
+columnar-capable type).  Shard state is therefore bit-identical to a
+serial run — the supervisor's crash recovery (restore last snapshot,
+replay the batch log) leans on this to make a SIGKILLed worker
+reconstructible.
 
 Telemetry: the worker keeps its own private
 :class:`~repro.obs.registry.MetricRegistry` (``worker_batch_seconds``
@@ -55,13 +57,13 @@ def worker_main(
     from repro.engine.config import EngineConfig
     from repro.engine.workers.ipc import MODE_I64, MODE_INTS, decode_numeric, decode_values
     from repro.model.lanes import promote_to_columnar
-    from repro.model.registry import create_summary
+    from repro.model.registry import create_summary, get_descriptor
     from repro.obs.registry import MetricRegistry
     from repro.persistence import dump as dump_summary, load as load_summary
     from repro.universe.universe import Universe
 
     config = EngineConfig.from_payload(config_payload)
-    columnar = config.lane == "columnar"
+    columnar = get_descriptor(config.summary).columnar
     universes = {index: Universe() for index in shard_indexes}
     shards = {
         index: create_summary(
@@ -109,7 +111,7 @@ def worker_main(
                 counts: dict[int, int] = {}
                 for shard_index, mode, payload in entries:
                     if columnar and mode in (MODE_I64, MODE_INTS):
-                        # Columnar lane: apply raw ints straight to the
+                        # Columnar lane: int buckets apply straight to the
                         # summary kernel — no Fraction/Item round-trip.
                         values = decode_numeric(mode, payload)
                         shards[shard_index].process_numeric(values)
@@ -165,10 +167,10 @@ def worker_main(
                         )
                     else:
                         shards[index] = load_summary(payload, universes[index])
-                        if columnar:
-                            # Checkpoints store Items; adopt raw keys again
-                            # so replayed i64 batches land on columnar state.
-                            promote_to_columnar(shards[index])
+                        # Checkpoints store Items; adopt raw keys again where
+                        # possible so replayed i64 batches land on columnar
+                        # state (promotion refuses harmlessly otherwise).
+                        promote_to_columnar(shards[index])
 
             elif kind == "ping":
                 _, request_id = message

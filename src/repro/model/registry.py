@@ -75,8 +75,8 @@ class SummaryDescriptor:
     is_comparison_based: bool = True
     is_deterministic: bool = True
     #: Whether the type can hold columnar (raw numeric key) state — the
-    #: opt-in fast lane of docs/model.md; mirrored from
-    #: ``cls.supports_columnar``.
+    #: fast lane of docs/model.md that the engine infers from int-faithful
+    #: batches; mirrored from ``cls.supports_columnar``.
     columnar: bool = False
     #: Compile a frozen read index answering quantile/rank queries
     #: bit-identically to the summary's own query/estimate_rank (``None``

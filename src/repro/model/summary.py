@@ -6,8 +6,9 @@ Summaries hold their state in one of two *lanes* (docs/model.md):
   key is an :class:`~repro.universe.item.Item` and only comparisons touch
   it.  This is the default, and the only lane the paper's lower bound (and
   the adversary) applies to.
-* ``"columnar"`` — an opt-in representation for numeric universes where
-  stored keys are raw ints/floats.  The *algorithms* are unchanged (they
+* ``"columnar"`` — a representation for numeric universes where stored
+  keys are raw ints/floats; the engine picks it for each batch whose
+  values are all ints.  The *algorithms* are unchanged (they
   only ever compare keys), so state, fingerprints and checkpoints are
   identical between lanes; what changes is the per-key object overhead and
   the eligibility for array/native batch kernels.

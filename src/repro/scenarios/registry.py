@@ -77,19 +77,13 @@ class Scenario:
     shards: int = 2
     audit_fraction: float = 0.25
     #: Engine executor for self-hosted runs (``serial``/``thread``/
-    #: ``process``/``processes``).
+    #: ``processes``).
     executor: str = "serial"
     workers: int = 1
     #: When non-empty, the self-hosted runner replays the same seeded
     #: traffic once per worker count and asserts the gateable report cores
     #: are identical — the executor-invariance contract as a canary.
     workers_matrix: tuple = ()
-    #: Engine ingest lane for self-hosted runs (``items``/``columnar``).
-    lane: str = "items"
-    #: When non-empty, the self-hosted runner replays the same seeded
-    #: traffic once per lane and asserts the gateable report cores are
-    #: identical — the columnar lane's bit-equivalence contract as a canary.
-    lanes_matrix: tuple = ()
     #: Writer wire dialect (``ndjson``/``frames``, see docs/service.md).
     wire: str = "ndjson"
     #: When non-empty, the self-hosted runner replays the same seeded
@@ -127,12 +121,6 @@ class Scenario:
         if self.workers < 1 or any(count < 1 for count in self.workers_matrix):
             raise ScenarioError(
                 f"scenario {self.name!r}: worker counts must be positive"
-            )
-        lanes = (self.lane, *self.lanes_matrix)
-        if any(lane not in ("items", "columnar") for lane in lanes):
-            raise ScenarioError(
-                f"scenario {self.name!r}: lanes must be 'items' or "
-                f"'columnar', got {lanes}"
             )
         wires = (self.wire, *self.wire_matrix)
         if any(wire not in ("ndjson", "frames") for wire in wires):
@@ -173,12 +161,6 @@ class Scenario:
             payload["workers_matrix"] = list(self.workers_matrix)
         else:
             payload["workers"] = self.workers
-        if self.lanes_matrix:
-            # Same rule as workers_matrix: the effective lane varies per
-            # matrix run, the constant matrix is what gates.
-            payload["lanes_matrix"] = list(self.lanes_matrix)
-        else:
-            payload["lane"] = self.lane
         if self.wire_matrix:
             payload["wire_matrix"] = list(self.wire_matrix)
         else:
@@ -269,25 +251,20 @@ def _catalog() -> dict[str, Scenario]:
         ),
         Scenario(
             name="columnar-replay",
-            description="lane-invariance canary: replay the same seeded "
-            "heavy-tail traffic (integer values, a huge dynamic range) on "
-            "the items and columnar lanes and assert the gateable report "
-            "cores (answers, errors, accuracy; timing excluded) are "
-            "identical",
+            description="heavy-tail traffic (integer values, a huge dynamic "
+            "range) through GK's columnar kernels, the lane the engine "
+            "infers from integer input, gated on exact-rank accuracy",
             pattern="heavy-tail",
             summary="gk",
-            lanes_matrix=("items", "columnar"),
         ),
         Scenario(
             name="wire-matrix",
             description="wire-faithfulness canary: replay the same seeded "
             "uniform integer traffic over the NDJSON line protocol and the "
-            "binary frame lane (columnar engine) and assert the gateable "
-            "report cores (answers, errors, accuracy; timing excluded) are "
-            "identical",
+            "binary frame lane and assert the gateable report cores "
+            "(answers, errors, accuracy; timing excluded) are identical",
             pattern="uniform",
             summary="gk",
-            lane="columnar",
             wire_matrix=("ndjson", "frames"),
         ),
         Scenario(

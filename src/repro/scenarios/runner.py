@@ -370,26 +370,19 @@ async def run_scenario(
         return await _drive(scenario, seed, host, port, wire=scenario.wire)
 
     worker_counts = list(scenario.workers_matrix) or [scenario.workers]
-    lanes = list(scenario.lanes_matrix) or [scenario.lane]
     wires = list(scenario.wire_matrix) or [scenario.wire]
-    variants = [
-        (workers, lane, wire)
-        for workers in worker_counts
-        for lane in lanes
-        for wire in wires
-    ]
+    variants = [(workers, wire) for workers in worker_counts for wire in wires]
     report = await _run_self_hosted(scenario, seed, *variants[0])
     if len(variants) > 1:
         # Invariance canary: the same seeded traffic at every variant —
-        # worker count (the process-pool executor's bit-identity contract),
-        # ingest lane (the columnar lane's equivalence contract), and/or
-        # wire dialect (the frame lane's faithfulness contract) — must
-        # produce an identical gateable core, observed end to end through
-        # the service.
+        # worker count (the process-pool executor's bit-identity contract)
+        # and/or wire dialect (the frame lane's faithfulness contract) —
+        # must produce an identical gateable core, observed end to end
+        # through the service.
         from repro.scenarios.report import CanaryError, compare_reports
 
-        for workers, lane, wire in variants[1:]:
-            other = await _run_self_hosted(scenario, seed, workers, lane, wire)
+        for workers, wire in variants[1:]:
+            other = await _run_self_hosted(scenario, seed, workers, wire)
             diff = compare_reports(report, other)
             if not diff["identical"]:
                 drifted = ", ".join(
@@ -397,13 +390,11 @@ async def run_scenario(
                 )
                 raise CanaryError(
                     f"scenario {scenario.name!r} is not variant invariant: "
-                    f"{variants[0][0]} worker(s), {variants[0][1]} lane, "
-                    f"{variants[0][2]} wire vs {workers} worker(s), "
-                    f"{lane} lane, {wire} wire changed {drifted}"
+                    f"{variants[0][0]} worker(s), {variants[0][1]} wire vs "
+                    f"{workers} worker(s), {wire} wire changed {drifted}"
                 )
         report.ops["scaling"] = {
             "worker_counts": worker_counts,
-            "lanes": lanes,
             "wires": wires,
             "identical": True,
         }
@@ -414,10 +405,9 @@ async def _run_self_hosted(
     scenario: Scenario,
     seed: int,
     workers: int,
-    lane: str = "items",
     wire: str = "ndjson",
 ) -> CanaryReport:
-    """One self-hosted loopback run at an explicit worker count, lane, wire."""
+    """One self-hosted loopback run at an explicit worker count and wire."""
     from repro.engine import EngineConfig
     from repro.service.server import QuantileService, ServiceConfig
 
@@ -428,7 +418,6 @@ async def _run_self_hosted(
             shards=scenario.shards,
             executor=scenario.executor,
             workers=workers,
-            lane=lane,
         ),
         config=ServiceConfig(
             port=0,

@@ -177,8 +177,8 @@ class IngestJob:
     (``list[Fraction]``); insert frames carry the raw ``array('q')``/
     ``array('d')`` buffer straight off the wire — no per-value Fraction is
     ever built on the frame path, and :meth:`QuantileService._flush` feeds
-    either shape to the engine (whose columnar lane keeps raw numerics
-    raw end to end).
+    either shape to the engine (which keeps int-faithful batches raw end
+    to end on its columnar lane).
     """
 
     values: "list[Fraction] | array"
@@ -187,28 +187,17 @@ class IngestJob:
     enqueued_ns: int = field(default_factory=perf_counter_ns)
 
 
-def _combine_payloads(payloads: list, lane: str):
+def _combine_payloads(payloads: list):
     """One engine-feedable batch from a micro-batch of job payloads.
 
     All-buffer flushes of one typecode concatenate into a single
     contiguous buffer (a C-level ``memcpy`` per job); anything mixed
-    flattens to a list the executor routes value by value.  On the
-    columnar lane integral rationals collapse to bare ints so the
-    executor's raw-int routing fast path fires; non-integral values ride
-    through as Fractions (the executor falls back per batch).
+    flattens to a list the executor routes value by value.  The engine
+    reads the lane off the combined batch itself, so integral rationals
+    and raw ints need no conversion here.
     """
-    columnar = lane == "columnar"
-
-    def _as_feed(payload):
-        if isinstance(payload, array) or not columnar:
-            return payload
-        return [
-            value.numerator if value.denominator == 1 else value
-            for value in payload
-        ]
-
     if len(payloads) == 1:
-        return _as_feed(payloads[0])
+        return payloads[0]
     first = payloads[0]
     if isinstance(first, array) and all(
         isinstance(payload, array) and payload.typecode == first.typecode
@@ -220,7 +209,7 @@ def _combine_payloads(payloads: list, lane: str):
         return combined
     merged: list = []
     for payload in payloads:
-        merged.extend(_as_feed(payload))
+        merged.extend(payload)
     return merged
 
 
@@ -408,7 +397,7 @@ class QuantileService:
             return
         payloads = [job.values for job in live]
         total = sum(len(payload) for payload in payloads)
-        feed = _combine_payloads(payloads, self.engine.config.lane)
+        feed = _combine_payloads(payloads)
         with obs_spans.span(
             "service.ingest_flush", jobs=len(live), items=total
         ):

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import repro.summaries  # noqa: F401  (registers every summary type)
 from repro.engine.config import EngineConfig
-from repro.engine.engine import ShardedQuantileEngine
+from repro.engine.engine import ShardedQuantileEngine, as_fraction
+from repro.engine.merge_tree import fold_shards
+from repro.engine.routing import route_batch
 from repro.engine.workers.ipc import (
     MODE_I64,
     MODE_INTS,
@@ -202,66 +204,121 @@ def test_merge_reconciles_lanes():
 # -- the engine layer ---------------------------------------------------------------
 
 
-def test_engine_config_rejects_non_columnar_summary():
-    with pytest.raises(EngineError) as excinfo:
-        EngineConfig(summary="mrl", epsilon=0.05, lane="columnar").validate()
-    for name in COLUMNAR_TYPES:
-        assert name in str(excinfo.value)
-
-
-def test_engine_config_rejects_unknown_lane():
-    with pytest.raises(EngineError):
-        EngineConfig(summary="gk", epsilon=0.05, lane="rowwise").validate()
-
-
 def test_engine_config_payload_round_trip_and_compat():
-    config = EngineConfig(summary="gk", epsilon=0.05, lane="columnar")
-    assert EngineConfig.from_payload(config.to_payload()).lane == "columnar"
-    # Pre-lane checkpoints carry no lane field and default to items.
+    config = EngineConfig(summary="gk", epsilon=0.05)
     payload = config.to_payload()
-    del payload["lane"]
-    assert EngineConfig.from_payload(payload).lane == "items"
+    # The lane is read off each batch, so configs no longer carry one.
+    assert "lane" not in payload
+    assert EngineConfig.from_payload(payload) == config
+    # Checkpoints written while the lane was a setting still load, and
+    # serialising them again drops the key.
+    for lane in ("items", "columnar"):
+        legacy = dict(payload, lane=lane)
+        restored = EngineConfig.from_payload(legacy)
+        assert restored == config
+        assert restored.to_payload() == payload
+
+
+def _reference_shards(config, batches):
+    """Per-item ``process`` over Items on the engine's routed subsequences."""
+    universes = [Universe() for _ in range(config.shards)]
+    shards = [
+        create_summary(config.summary, config.epsilon, **config.shard_kwargs(i))
+        for i in range(config.shards)
+    ]
+    ingested = 0
+    for batch in batches:
+        fractions = [as_fraction(value) for value in batch]
+        buckets = route_batch(fractions, config.shards, config.routing, ingested)
+        for shard, universe, bucket in zip(shards, universes, buckets):
+            for value in bucket:
+                shard.process(universe.item(value))
+        ingested += len(batch)
+    return shards
+
+
+def _canonical(summary) -> str:
+    return json.dumps(dump(summary), sort_keys=True)
+
+
+def _assert_matches_reference(engine, batches):
+    config = engine.config
+    reference = _reference_shards(config, batches)
+    shards = engine.shard_summaries
+    assert [_canonical(s) for s in shards] == [_canonical(s) for s in reference]
+    assert [s.n for s in shards] == [s.n for s in reference]
+    assert [s.max_item_count for s in shards] == [
+        s.max_item_count for s in reference
+    ]
+    phis = (0.01, 0.1, 0.5, 0.9, 0.99)
+    merged = fold_shards(reference, config.merge_strategy)
+    assert engine.quantiles(phis) == [key_of(merged.query(phi)) for phi in phis]
+    probes = [0, 3, 12345, 10**6]
+    assert engine.rank_many(probes) == [
+        merged.estimate_rank(Universe().item(probe)) for probe in probes
+    ]
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "processes"])
 def test_engine_lane_equivalence(executor):
-    """Every executor serves identical answers from either lane."""
+    """Integer input runs columnar and matches a per-item Item reference."""
     rng = random.Random(31)
-    values = [rng.randint(-(10**6), 10**6) for _ in range(20000)]
-
-    def answers(lane):
+    values = [rng.randint(10, 10**6) for _ in range(2500)]
+    # 1200-value batches take the vectorised routing path, the 100-value
+    # tail the pure-Python one.
+    batches = [values[:1200], values[1200:2400], values[2400:]]
+    # 2.5 is the new minimum, which GK never compresses away.
+    mixed = [rng.randint(10, 10**6) for _ in range(300)] + [2.5]
+    for summary in ("gk", "kll", "mrl"):
         config = EngineConfig(
-            summary="gk",
-            epsilon=0.02,
-            shards=3,
-            workers=2,
-            executor=executor,
-            lane=lane,
+            summary=summary, epsilon=0.02, shards=3, workers=2,
+            executor=executor, seed=4,
         )
         with ShardedQuantileEngine(config) as engine:
-            engine.ingest(values, batch_size=4096)
-            quantiles = [
-                key_of(engine.query(phi)) for phi in (0.1, 0.5, 0.9)
+            for batch in batches:
+                engine.ingest(batch)
+            expected = "columnar" if summary != "mrl" else "items"
+            assert [shard.lane for shard in engine.shard_summaries] == [
+                expected
+            ] * 3
+            _assert_matches_reference(engine, batches)
+            # A later batch holding 2.5 takes the Fraction path and demotes
+            # the shard that stores it; state still matches the reference.
+            engine.ingest(mixed)
+            holders = [
+                shard for shard in engine.shard_summaries
+                if Fraction(5, 2) in _keys(shard)
             ]
-            counts = [
-                shard["items"] for shard in engine.stats()["shards"]
-            ]
-            return quantiles, counts
-
-    assert answers("columnar") == answers("items")
+            assert holders or summary != "gk"
+            assert all(shard.lane == "items" for shard in holders)
+            _assert_matches_reference(engine, [*batches, mixed])
 
 
 def test_engine_stats_reports_shard_lane():
-    config = EngineConfig(summary="gk", epsilon=0.05, shards=2, lane="columnar")
-    with ShardedQuantileEngine(config) as engine:
-        engine.ingest([1, 2, 3, 4, 5, 6, 7, 8], batch_size=4)
-        lanes = {shard["lane"] for shard in engine.stats()["shards"]}
-    assert lanes == {"columnar"}
+    """stats() reports the lane each shard's input put it on."""
+    for executor in ("serial", "thread", "processes"):
+        config = EngineConfig(
+            summary="gk", epsilon=0.05, shards=2, executor=executor, workers=2
+        )
+        with ShardedQuantileEngine(config) as engine:
+            engine.ingest([1, 2, 3, 4, 5, 6, 7, 8], batch_size=4)
+            lanes = {shard["lane"] for shard in engine.stats()["shards"]}
+            assert lanes == {"columnar"}, executor
+            engine.ingest([Fraction(1, 3)])
+            lanes = [shard["lane"] for shard in engine.stats()["shards"]]
+            assert "items" in lanes, executor
+        config = EngineConfig(
+            summary="mrl", epsilon=0.05, shards=2, executor=executor, workers=2
+        )
+        with ShardedQuantileEngine(config) as engine:
+            engine.ingest([1, 2, 3, 4, 5, 6, 7, 8], batch_size=4)
+            lanes = {shard["lane"] for shard in engine.stats()["shards"]}
+            assert lanes == {"items"}, executor
 
 
 def test_engine_malformed_record_semantics_unchanged():
     """The columnar lane's fallback keeps the items-lane error contract."""
-    config = EngineConfig(summary="gk", epsilon=0.05, shards=2, lane="columnar")
+    config = EngineConfig(summary="gk", epsilon=0.05, shards=2)
     with ShardedQuantileEngine(config) as engine:
         with pytest.raises(EngineError):
             engine.ingest([1, 2, "not-a-number"], batch_size=8)

@@ -97,6 +97,60 @@ class TestRestoreContinuesRoundRobin:
         assert shard_payloads(restored) == shard_payloads(straight)
 
 
+def rewrite_config(path, **changes) -> None:
+    """Edit a checkpoint's header config in place, as an older writer would."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"].update(changes)
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLegacyCheckpoints:
+    """Checkpoints from before the lane was inferred, or from ``process``."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"lane": "items"},
+            {"lane": "columnar"},
+            {"executor": "process"},
+            {"executor": "process", "lane": "items"},
+        ],
+    )
+    def test_legacy_config_restores_to_the_same_answers(self, tmp_path, changes):
+        values = [v * 7919 % 100_003 for v in range(3000)]
+        straight = make_engine(routing="hash")
+        straight.ingest(values)
+
+        interrupted = make_engine(routing="hash")
+        interrupted.ingest(values[:1000])
+        path = tmp_path / "legacy.jsonl"
+        interrupted.checkpoint(path)
+        rewrite_config(path, **changes)
+
+        restored = ShardedQuantileEngine.restore(path)
+        # Shard payloads do not depend on the executor that built them, so
+        # the retired merge-built ``process`` executor restores onto serial.
+        assert restored.config.executor == "serial"
+        assert restored.config == interrupted.config
+        restored.ingest(values[1000:])
+        assert shard_payloads(restored) == shard_payloads(straight)
+        phis = [0.01, 0.25, 0.5, 0.75, 0.99]
+        assert restored.quantiles(phis) == straight.quantiles(phis)
+
+        # Writing the restored engine out again drops the legacy keys.
+        again = tmp_path / "again.jsonl"
+        restored.checkpoint(again)
+        header = json.loads(again.read_text().splitlines()[0])
+        assert "lane" not in header["config"]
+        assert header["config"]["executor"] == "serial"
+
+    def test_process_executor_is_not_a_config_choice(self):
+        with pytest.raises(EngineError, match="process"):
+            EngineConfig(summary="gk", executor="process").validate()
+
+
 class TestAsFractionErrors:
     @pytest.mark.parametrize("bad", ["abc", "1/0", "", "1.2.3", None, object()])
     def test_malformed_input_raises_engine_error_naming_the_value(self, bad):

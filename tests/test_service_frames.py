@@ -38,9 +38,9 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def make_service(lane: str = "items", **service_kwargs) -> QuantileService:
+def make_service(**service_kwargs) -> QuantileService:
     return QuantileService(
-        engine_config=EngineConfig(summary="gk", epsilon=0.02, shards=2, lane=lane),
+        engine_config=EngineConfig(summary="gk", epsilon=0.02, shards=2),
         config=ServiceConfig(port=0, **service_kwargs),
     )
 
@@ -386,7 +386,7 @@ class TestRecovery:
 class TestPipelining:
     def test_acks_come_back_fifo_and_read_your_writes_holds(self):
         async def scenario():
-            service = make_service(lane="columnar")
+            service = make_service()
             port = await started(service)
             try:
                 async with QuantileClient(
@@ -459,9 +459,7 @@ class TestCrossWireIdentity:
 
         async def drive(wire: str) -> None:
             path = tmp_path / f"{wire}.ckpt"
-            service = make_service(
-                lane="columnar", checkpoint_path=str(path), wire="both"
-            )
+            service = make_service(checkpoint_path=str(path), wire="both")
             port = await started(service)
             try:
                 async with QuantileClient(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     EngineConfig,
     ShardedQuantileEngine,
+    as_fraction,
     create_executor,
     executor_kinds,
     read_checkpoint,
@@ -26,7 +27,6 @@ from repro.engine import (
 from repro.engine.workers.ipc import (
     MODE_INTS,
     MODE_PAIRS,
-    all_plain_ints,
     decode_values,
     encode_fractions,
     fast_int_buckets,
@@ -47,7 +47,7 @@ def _shard_records(path):
 
 class TestExecutorFactory:
     def test_kinds_cover_the_config_choices(self):
-        assert set(executor_kinds()) == {"serial", "thread", "process", "processes"}
+        assert set(executor_kinds()) == {"serial", "thread", "processes"}
 
     def test_unknown_kind_raises_engine_error(self):
         config = EngineConfig(summary="gk")
@@ -77,11 +77,6 @@ class TestCodec:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="encoding"):
             decode_values("utf-8", [1])
-
-    def test_all_plain_ints_excludes_bool_and_float(self):
-        assert all_plain_ints([1, 2, 3])
-        assert not all_plain_ints([1, True])
-        assert not all_plain_ints([1, 2.0])
 
     def test_int_routing_matches_fraction_routing(self):
         values = _values(500, bound=10**9) + [-5, 0, 2**63, 2**70]
@@ -128,6 +123,48 @@ class TestCodec:
     def test_vectorised_buckets_reject_unfaithful_values(self):
         assert fast_int_buckets([1.5] * 3000, 3, "hash", 0) is None
         assert fast_int_buckets(["2"] * 3000, 3, "hash", 0) is None
+
+    @pytest.mark.parametrize(
+        "kind, accepted",
+        [
+            ("ints", True),
+            ("bools", True),
+            ("int-valued floats", True),
+            ("integral fractions", True),
+            ("huge ints", True),
+            ("non-integral floats", False),
+            ("non-integral fractions", False),
+            ("numeric strings", False),
+            ("nan", False),
+        ],
+    )
+    def test_int_faithfulness_does_not_depend_on_batch_length(self, kind, accepted):
+        def make(length):
+            rng = random.Random(length)
+            draw = {
+                "ints": lambda: rng.randint(-(10**9), 10**9),
+                "bools": lambda: rng.random() < 0.5,
+                "int-valued floats": lambda: float(rng.randint(-(10**9), 10**9)),
+                "integral fractions": lambda: Fraction(rng.randint(-50, 50) * 6, 3),
+                "huge ints": lambda: 2**70 + rng.randint(0, 10**6),
+                "non-integral floats": lambda: rng.randint(0, 99) + 0.5,
+                "non-integral fractions": lambda: Fraction(rng.randint(0, 99), 7),
+                "numeric strings": lambda: str(rng.randint(0, 99)),
+                "nan": lambda: float("nan"),
+            }[kind]
+            # Lead with plain ints so a refusal is decided by the kind alone.
+            return [1, 2, 3] + [draw() for _ in range(length - 3)]
+
+        for length in (10, 2000):
+            values = make(length)
+            for routing in ("hash", "round-robin"):
+                buckets = fast_int_buckets(values, 3, routing, 17)
+                assert (buckets is not None) is accepted, (length, routing)
+                if buckets is not None:
+                    expected = route_batch(
+                        [as_fraction(v) for v in values], 3, routing, 17
+                    )
+                    assert [[Fraction(v) for v in b] for b in buckets] == expected
 
     def test_huge_ints_fall_back_to_the_pure_python_path(self):
         values = [2**70 + i for i in range(2000)]
@@ -224,22 +261,33 @@ class TestProcessPoolBitIdentity:
                 [0.1, 0.5, 0.9]
             )
 
-    @pytest.mark.parametrize("lane", ["items", "columnar"])
-    def test_collected_shards_keep_the_engine_lane(self, lane):
-        # Collected payloads decode into the items lane; the mirror must be
-        # promoted the way a restore is, or every read folds Item keys.
-        lanes = {}
-        for executor in ("serial", "processes"):
+    @pytest.mark.parametrize(
+        "kind, lane",
+        [
+            ("ints", "columnar"),
+            ("int-valued floats", "columnar"),
+            ("integral fractions", "columnar"),
+            ("halves", "items"),
+        ],
+    )
+    def test_collected_shards_keep_the_engine_lane(self, kind, lane):
+        # The input picks the lane.  Collected payloads decode into the items
+        # lane, so the mirror must be promoted the way a restore is, or
+        # every read folds Item keys; non-integral state must stay put.
+        values = {
+            "ints": _values(3000),
+            "int-valued floats": [float(v) for v in _values(3000)],
+            "integral fractions": [Fraction(v) for v in _values(3000)],
+            "halves": [Fraction(v, 2) for v in _values(3000, bound=10**4)],
+        }[kind]
+        for executor in ("serial", "thread", "processes"):
             config = EngineConfig(
-                summary="kll", shards=2, seed=5, lane=lane,
-                executor=executor, workers=2,
+                summary="kll", shards=2, seed=5, executor=executor, workers=2,
             )
             with ShardedQuantileEngine(config) as engine:
-                engine.ingest(_values(3000))
-                lanes[executor] = [
-                    entry["lane"] for entry in engine.stats()["shards"]
-                ]
-        assert lanes["serial"] == lanes["processes"] == [lane, lane]
+                engine.ingest(values, batch_size=700)
+                lanes = [entry["lane"] for entry in engine.stats()["shards"]]
+            assert lanes == [lane, lane], executor
 
     @settings(max_examples=8, deadline=None)
     @given(
