@@ -36,8 +36,9 @@ Subcommands
 ``serve``
     Put the engine behind a socket (:mod:`repro.service`): an asyncio TCP
     server speaking newline-delimited JSON, with micro-batched single-writer
-    ingest, snapshot-isolated reads, explicit load shedding and deadlines,
-    graceful drain, and ``GET /metrics`` in Prometheus text format.
+    ingest, reads from the engine's cached read index, explicit load
+    shedding and deadlines, graceful drain, and ``GET /metrics`` in
+    Prometheus text format.
 ``client ping | insert | query | rank | stats | metrics | load``
     Talk to a running service: one-shot operations, or the deterministic
     mixed-workload load generator (``load``), which can verify served

@@ -91,10 +91,9 @@ async def _serve_async(
         else:
             await stop.wait()
         await service.stop()
-    snapshot = service.snapshots.current()
     print(
         f"drained: n = {service.engine.items_ingested}, "
-        f"snapshot epoch = {snapshot.epoch}"
+        f"epoch = {service.epoch}"
         + (f", checkpoint = {args.checkpoint}" if args.checkpoint else ""),
         file=out,
     )
@@ -315,7 +314,7 @@ def add_parsers(subparsers) -> None:
     )
     commands = client.add_subparsers(dest="client_command", required=True)
 
-    commands.add_parser("ping", help="liveness + current snapshot epoch")
+    commands.add_parser("ping", help="liveness + current epoch")
 
     insert = commands.add_parser("insert", help="insert values into the service")
     insert.add_argument("values", nargs="*", help="numbers or fractions ('7/2')")
@@ -326,7 +325,9 @@ def add_parsers(subparsers) -> None:
     )
     insert.add_argument("--seed", type=int, default=0)
 
-    query = commands.add_parser("query", help="quantile answers from the snapshot")
+    query = commands.add_parser(
+        "query", help="quantile answers from the engine's read index"
+    )
     query.add_argument(
         "--phi", type=float, nargs="+", default=[0.25, 0.5, 0.75, 0.99]
     )
@@ -337,7 +338,9 @@ def add_parsers(subparsers) -> None:
         "and is answered in one batched request, in the given order",
     )
 
-    rank = commands.add_parser("rank", help="rank estimates from the snapshot")
+    rank = commands.add_parser(
+        "rank", help="rank estimates from the engine's read index"
+    )
     rank.add_argument("--value", nargs="+", required=True)
 
     commands.add_parser("stats", help="service + engine stats as JSON")

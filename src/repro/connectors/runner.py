@@ -16,7 +16,7 @@ Delivery guarantees, precisely:
   run (exactly-once), verified in ``tests/test_connectors_resume.py``.
 * **Service sink** — a batch's offset advances only after the service has
   acknowledged the insert (an ack means the values are applied and
-  snapshot-visible).  A graceful stop (``request_stop()`` — the CLI wires
+  visible to reads).  A graceful stop (``request_stop()`` — the CLI wires
   SIGTERM to it) checkpoints after the last acked batch, so restart +
   resume is exactly-once.  A *hard* crash between an ack and the offsets
   write re-sends at most one batch on resume (at-least-once); shrink
@@ -191,7 +191,7 @@ class ServiceSink:
 
     Values travel as exact strings (``str(Fraction)``), so rationals
     survive the wire unchanged.  ``ingest`` returns only after the service
-    acknowledged the insert — an ack means applied and snapshot-visible —
+    acknowledged the insert — an ack means applied and visible to reads —
     which is what lets offsets advance safely.
     """
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.errors import EngineError
 from repro.model.registry import (
     available_summaries,
+    get_descriptor,
     has_merge,
     mergeable_summaries,
     summary_factory,
@@ -41,7 +42,8 @@ class EngineConfig:
     summary:
         Registry name of the per-shard summary type.  Must have a merge
         function registered (the engine answers global queries by folding
-        shards), so e.g. ``offline`` and ``qdigest`` are rejected.
+        shards), so e.g. ``offline`` and ``qdigest`` are rejected, and a
+        ``compile_index`` (every read goes through the compiled index).
     epsilon:
         Per-shard target rank-error fraction.  GK's pairwise merge preserves
         the maximum input epsilon, so the folded answer is still an
@@ -100,6 +102,11 @@ class EngineConfig:
                 f"summary type {self.summary!r} has no registered merge, so a "
                 f"sharded engine cannot fold its shards into a global answer; "
                 f"pick one of: {mergeable}"
+            )
+        if get_descriptor(self.summary).compile_index is None:
+            raise EngineError(
+                f"summary type {self.summary!r} has no registered "
+                "compile_index, so the engine cannot build its read index"
             )
         if not 0 < self.epsilon < 1:
             raise EngineError(

@@ -45,15 +45,6 @@ from repro.persistence import load as load_summary
 from repro.universe.item import key_of
 from repro.universe.universe import Universe
 
-# Probe items for rank estimates on the uncompiled fallback path carry no
-# state worth isolating, so one module-level universe serves every engine
-# instead of constructing a Universe per call.
-_PROBE_UNIVERSE = Universe()
-
-# Cached marker for "the merged summary's type has no compile_index": keeps
-# unsupported types from re-attempting compilation on every read.
-_NO_INDEX = object()
-
 
 def as_fraction(
     value, *, source: str | None = None, index: int | None = None
@@ -166,8 +157,8 @@ class ShardedQuantileEngine:
         """The live per-shard summaries (read-only view).
 
         With a remote executor this first collects the workers' shard states
-        into the engine's local mirror, so checkpoints and snapshot layers
-        see exactly what the workers hold.
+        into the engine's local mirror, so checkpoints and reads see exactly
+        what the workers hold.
         """
         self._refresh_shards()
         return tuple(self._shards)
@@ -196,13 +187,12 @@ class ShardedQuantileEngine:
             summary=self.config.summary,
             executor=self.config.executor,
         ) as ingest_span:
-            with self._executor.ingest_session():
-                for batch in _chunks(values, batch_size):
-                    self._ingest_batch(batch)
-                    batches += 1
-                # Barrier: remote executors pipeline batches, so the report
-                # (and any immediate read) must wait for the last apply.
-                self._executor.sync()
+            for batch in _chunks(values, batch_size):
+                self._ingest_batch(batch)
+                batches += 1
+            # Barrier: remote executors pipeline batches, so the report
+            # (and any immediate read) must wait for the last apply.
+            self._executor.sync()
             ingest_span.set(
                 items=self._items_ingested - items_before, batches=batches
             )
@@ -297,19 +287,18 @@ class ShardedQuantileEngine:
             )
         return self._merged
 
-    def read_index(self) -> RankIndex | None:
-        """The compiled index over the merged summary, or None if unsupported.
+    def read_index(self) -> RankIndex:
+        """The compiled index over the merged summary.
 
         Cached per ingest generation: the first read after an ingest folds
-        the shards and compiles the fold, every later read reuses the frozen
-        index until the next ingest invalidates it.  Summary types without a
-        registered ``compile_index`` cache that fact too, so the uncompiled
-        fallback pays no repeated compilation attempts.
+        the shards (unless the fold is already cached) and compiles the
+        fold, every later read reuses the frozen index until the next
+        ingest invalidates it.  :meth:`EngineConfig.validate` admits only
+        summary types with a registered ``compile_index``.
         """
         if self._read_index_generation == self._read_generation:
             self.telemetry.count("read_index_hits")
-            index = self._read_index
-            return None if index is _NO_INDEX else index
+            return self._read_index
         self.telemetry.count("read_index_misses")
         merged = self.merged_summary()
         compile_started = perf_counter_ns()
@@ -319,29 +308,18 @@ class ShardedQuantileEngine:
             generation=self._read_generation,
         ) as compile_span:
             index = compile_rank_index(merged)
-            compile_span.set(
-                supported=index is not None,
-                size=index.size if index is not None else 0,
-            )
-        if index is not None:
-            self.telemetry.count("read_index_compiles")
-            self.telemetry.record_latency(
-                "read_index_compile", perf_counter_ns() - compile_started
-            )
-        self._read_index = index if index is not None else _NO_INDEX
+            compile_span.set(size=index.size)
+        self.telemetry.count("read_index_compiles")
+        self.telemetry.record_latency(
+            "read_index_compile", perf_counter_ns() - compile_started
+        )
+        self._read_index = index
         self._read_index_generation = self._read_generation
         return index
 
     def query(self, phi: float) -> Fraction:
         """The global phi-quantile's value (key of the answering item)."""
-        with self.telemetry.timed("query"), obs_spans.span("engine.query", phi=phi):
-            index = self.read_index()
-            if index is not None:
-                answer = index.quantile(phi)
-            else:
-                answer = self.merged_summary().query(phi)
-        self.telemetry.count("queries_answered")
-        return key_of(answer)
+        return self.quantiles([phi])[0]
 
     def quantiles(self, phis: Iterable[float]) -> list[Fraction]:
         """Batch form of :meth:`query`: one span, one count, one index pass."""
@@ -349,28 +327,13 @@ class ShardedQuantileEngine:
         with self.telemetry.timed("query"), obs_spans.span(
             "engine.query", phis=len(phis)
         ):
-            index = self.read_index()
-            if index is not None:
-                answers = index.quantile_many(phis)
-            else:
-                merged = self.merged_summary()
-                answers = [merged.query(phi) for phi in phis]
+            answers = self.read_index().quantile_many(phis)
         self.telemetry.count("queries_answered")
         return [key_of(answer) for answer in answers]
 
     def rank(self, value) -> int:
         """Estimated number of ingested items ``<=`` ``value``."""
-        key = as_fraction(value)
-        with self.telemetry.timed("query"):
-            index = self.read_index()
-            if index is not None:
-                estimate = index.rank(key)
-            else:
-                estimate = self.merged_summary().estimate_rank(
-                    _PROBE_UNIVERSE.item(key)
-                )
-        self.telemetry.count("queries_answered")
-        return estimate
+        return self.rank_many([value])[0]
 
     def rank_many(self, values: Iterable) -> list[int]:
         """Batch form of :meth:`rank`: one span, one count, one index pass."""
@@ -378,14 +341,7 @@ class ShardedQuantileEngine:
         with self.telemetry.timed("query"), obs_spans.span(
             "engine.rank", values=len(keys)
         ):
-            index = self.read_index()
-            if index is not None:
-                estimates = index.rank_many(keys)
-            else:
-                merged = self.merged_summary()
-                estimates = [
-                    merged.estimate_rank(_PROBE_UNIVERSE.item(key)) for key in keys
-                ]
+            estimates = self.read_index().rank_many(keys)
         self.telemetry.count("queries_answered")
         return estimates
 

@@ -30,7 +30,6 @@ bit-identical shard states.
 
 from __future__ import annotations
 
-import contextlib
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -43,8 +42,8 @@ class ShardExecutor(ABC):
 
     Lifecycle: the engine constructs the executor via
     :func:`~repro.engine.workers.create_executor`, calls :meth:`bind` once
-    with itself, then drives ``ingest_session``/``apply_batch``/``sync``
-    during ingest and ``collect``/``shard_counts`` at read/checkpoint time.
+    with itself, then drives ``apply_batch``/``sync`` during ingest and
+    ``collect``/``shard_counts`` at read/checkpoint time.
     ``close`` releases any worker resources; it must be idempotent.
     """
 
@@ -69,15 +68,6 @@ class ShardExecutor(ABC):
         if self._engine is None:
             raise RuntimeError(f"{type(self).__name__} is not bound to an engine")
         return self._engine
-
-    def ingest_session(self) -> contextlib.AbstractContextManager:
-        """Context held for one :meth:`engine.ingest` call.
-
-        Inline executors return a null context; executors that want a
-        per-call worker pool (the thread mode) create it here so idle
-        engines hold no threads.
-        """
-        return contextlib.nullcontext()
 
     def close(self) -> None:
         """Release worker resources (idempotent; default: nothing to do)."""

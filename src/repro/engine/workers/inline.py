@@ -5,15 +5,14 @@ historical serial ingest path exactly — same normalisation, same routing,
 same per-shard ``process_many`` calls in the same order — so its shard
 states are bit-identical to every pre-executor release.
 :class:`ThreadExecutor` keeps the shards in-process too but feeds busy
-shards from a per-ingest thread pool (one task per busy shard, so a shard
-is still only ever touched by one thread).
+shards from one thread pool held from ``bind`` to ``close`` (one task per
+busy shard, so a shard is still only ever touched by one thread).
 """
 
 from __future__ import annotations
 
-import contextlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.engine.engine import as_fraction
 from repro.engine.routing import route_batch
@@ -74,12 +73,13 @@ class SerialExecutor(_InlineExecutor):
 
 
 class ThreadExecutor(_InlineExecutor):
-    """One thread-pool task per busy shard, ``workers`` threads per ingest.
+    """One thread-pool task per busy shard, ``workers`` threads per engine.
 
     GIL-bound for pure-Python kernels; useful mainly for summary types whose
     processing releases the GIL.  Deterministic regardless: each shard is
     touched by exactly one task, so no locks and no interleaving within a
-    shard.
+    shard.  The pool lives from :meth:`bind` to :meth:`close`; a closed
+    executor applies batches inline.
     """
 
     kind = "thread"
@@ -88,17 +88,14 @@ class ThreadExecutor(_InlineExecutor):
         super().__init__()
         self._pool: ThreadPoolExecutor | None = None
 
-    @contextlib.contextmanager
-    def _session(self) -> Iterator[None]:
-        self._pool = ThreadPoolExecutor(max_workers=self.engine.config.workers)
-        try:
-            yield
-        finally:
+    def bind(self, engine) -> None:
+        super().bind(engine)
+        self._pool = ThreadPoolExecutor(max_workers=engine.config.workers)
+
+    def close(self) -> None:
+        if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    def ingest_session(self):
-        return self._session()
 
     def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
         buckets, feed, busy = self._route(values, already_ingested)

@@ -10,11 +10,11 @@ linear sweep over a structure that is tiny compared to the stream.
 
 The index is *frozen*: it describes the summary at the moment of
 compilation and callers must discard it when the summary changes (the
-engine keys its cached index on the merge-fold generation, a service
-snapshot keeps one index for the snapshot's whole epoch).  Each index also
-carries a small memo of answered quantiles — the epoch-keyed query cache:
-served phi grids repeat heavily, and within one epoch the answer for a phi
-never changes.
+engine keys its cached index on the ingest generation, and the service
+reads through that cache, so one index serves a whole wire epoch).  Each
+index also carries a small memo of answered quantiles — the epoch-keyed
+query cache: served phi grids repeat heavily, and within one epoch the
+answer for a phi never changes.
 
 Answer-identity contract
 ------------------------
@@ -383,7 +383,8 @@ def compile_rank_index(summary) -> RankIndex | None:
     """Compile ``summary`` through its descriptor's ``compile_index``.
 
     Returns ``None`` when the summary's type has no registered builder —
-    callers fall back to the uncompiled per-call path.
+    callers fall back to the uncompiled per-call path (the engine never
+    does: its config admits only types with a builder).
     """
     from repro.model.registry import descriptor_for_class
 

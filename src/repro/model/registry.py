@@ -20,8 +20,8 @@ to know about the type:
   amortised batch-ingest kernel;
 * ``compile_index`` — freeze the summary into a
   :class:`~repro.model.rankindex.RankIndex` whose quantile/rank answers are
-  bit-identical to the uncompiled read path (the engine, snapshots, and the
-  CLI compile through it);
+  bit-identical to the uncompiled read path (the engine, and the service
+  through it, and the CLI compile through it; the engine requires one);
 * ``is_comparison_based`` / ``is_deterministic`` — the model flags of
   Definition 2.1, mirrored from the class.
 

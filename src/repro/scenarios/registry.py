@@ -231,7 +231,7 @@ def _catalog() -> dict[str, Scenario]:
         Scenario(
             name="read-storm",
             description="read-dominated mix: few writes, many concurrent "
-            "readers hammering the snapshot path",
+            "readers hammering the read path",
             pattern="uniform",
             inserts=12,
             readers=8,

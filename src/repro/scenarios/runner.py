@@ -12,7 +12,7 @@ The runner's determinism contract: every *gateable* field of the resulting
   :class:`~repro.connectors.runner.IngestRunner` drains its source
   sequentially through the :class:`~repro.connectors.runner.ServiceSink`.)
 * **Readers wait for data.**  Concurrent readers only start once the first
-  insert is acked (snapshot non-empty), so no reader races the writer into
+  insert is acked (the engine is non-empty), so no reader races the writer into
   an ``empty`` error that would make the error census timing-dependent.
 * **Accuracy is judged at the end, against exact ground truth.**  Mid-run
   reads exercise the server (latency, shedding, the online auditor); the

@@ -1,8 +1,9 @@
 """Asyncio quantile-serving service around the sharded engine.
 
 Public surface: :class:`~repro.service.server.QuantileService` (NDJSON TCP
-server with single-writer micro-batched ingest, snapshot reads, explicit
-backpressure and a ``GET /metrics`` Prometheus endpoint), configured by
+server with single-writer micro-batched ingest, reads from the engine's
+cached read index, explicit backpressure and a ``GET /metrics``
+Prometheus endpoint), configured by
 :class:`~repro.service.server.ServiceConfig`;
 :class:`~repro.service.client.QuantileClient` (connection reuse, timeouts,
 seeded exponential backoff); the deterministic load generator in
@@ -34,14 +35,12 @@ from repro.service.protocol import (
     parse_response,
 )
 from repro.service.server import IngestJob, QuantileService, ServiceConfig
-from repro.service.snapshots import EMPTY_SNAPSHOT, Snapshot, SnapshotStore
 
 __all__ = [
     "AccuracyAuditor",
     "AuditConfig",
     "BoundedQueue",
     "Deadline",
-    "EMPTY_SNAPSHOT",
     "ERROR_CODES",
     "IngestJob",
     "LoadConfig",
@@ -54,8 +53,6 @@ __all__ = [
     "RETRYABLE_CODES",
     "Request",
     "ServiceConfig",
-    "Snapshot",
-    "SnapshotStore",
     "backoff_schedule",
     "decode_line",
     "encode_line",

@@ -68,7 +68,7 @@ KIND_ERROR = 0x03
 MODE_I64 = 0x01
 MODE_F64 = 0x02
 
-#: Ack payload: items accepted, total n after the flush, snapshot epoch.
+#: Ack payload: items accepted, total n after the flush, wire epoch.
 ACK_BODY = struct.Struct("<QQQ")
 
 VALUE_BYTES = 8

@@ -4,19 +4,23 @@ Architecture (one event loop, one writer)::
 
     connections --parse--> [BoundedQueue] --micro-batch--> ingest loop
          |                                                     |
-         |  query/rank ----> SnapshotStore.current() <--publish+
+         |  query/rank ----> engine.read_index() <-----fold----+
          |  GET /metrics --> Prometheus exposition of the shared registry
 
 * **Single-writer ingest.**  Connection handlers never touch the engine;
   an ``insert`` becomes an :class:`IngestJob` on a :class:`BoundedQueue`
   and the handler awaits the job's future.  One ingest-loop task drains
   the queue in micro-batches, feeds all values to
-  :meth:`ShardedQuantileEngine.ingest` in a single call, publishes a fresh
-  snapshot, and only then resolves the futures — an acknowledged insert is
-  therefore always visible to the acknowledging client's next query.
-* **Non-blocking reads.**  ``query``/``rank`` are answered from the
-  current immutable snapshot (:mod:`repro.service.snapshots`) and never
-  wait on ingest.
+  :meth:`ShardedQuantileEngine.ingest` in a single call, folds the shards,
+  bumps the wire ``epoch``, and only then resolves the futures — an
+  acknowledged insert is therefore always visible to the acknowledging
+  client's next query.
+* **Non-blocking reads.**  ``query``/``rank`` run on the loop between
+  flushes, through :meth:`ShardedQuantileEngine.quantiles` and
+  :meth:`~ShardedQuantileEngine.rank_many`: the engine's read index is
+  keyed on its ingest generation, so the first read of an epoch compiles
+  the flush's fold and every later read reuses it.  Reads never wait on
+  the ingest queue.
 * **Explicit load shedding.**  A full queue answers ``overloaded``; a
   request whose deadline expired (at admission or while queued) answers
   ``deadline_exceeded``; inserts during drain answer ``shutting_down``.
@@ -65,7 +69,6 @@ from repro.obs.registry import MetricRegistry
 from repro.service import frames, protocol
 from repro.service.audit import AccuracyAuditor, AuditConfig
 from repro.service.limits import BoundedQueue, Deadline
-from repro.service.snapshots import SnapshotStore
 
 SERVICE_NAMESPACE = "service_"
 
@@ -233,10 +236,9 @@ class QuantileService:
                 engine_config if engine_config is not None else EngineConfig(),
                 telemetry=Telemetry(registry=self.registry),
             )
-        self.snapshots = SnapshotStore()
-        if self.engine.items_ingested:
-            # A restored engine starts serving its checkpointed data at once.
-            self.snapshots.publish(self.engine)
+        # The wire epoch counts flushes that grew the engine; a restored
+        # engine serves its checkpointed data at once, as epoch 1.
+        self._epoch = 1 if self.engine.items_ingested else 0
         self._queue = BoundedQueue(self.config.max_queue_jobs)
         self._server: asyncio.AbstractServer | None = None
         self._ingest_task: asyncio.Task | None = None
@@ -263,9 +265,9 @@ class QuantileService:
         self._open_connections = reg.gauge(
             SERVICE_NAMESPACE + "open_connections", help="live client sockets"
         )
-        self._snapshot_epoch = reg.gauge(
+        self._epoch_gauge = reg.gauge(
             SERVICE_NAMESPACE + "snapshot_epoch",
-            help="epoch of the currently served snapshot",
+            help="wire epoch: flushes that grew the engine",
         )
         self.auditor = AccuracyAuditor(
             reg,
@@ -312,6 +314,11 @@ class QuantileService:
     @property
     def draining(self) -> bool:
         return self._draining
+
+    @property
+    def epoch(self) -> int:
+        """The wire epoch reported by acks, reads and ``ping``."""
+        return self._epoch
 
     async def start(self) -> None:
         """Bind the socket and start the single-writer ingest loop."""
@@ -402,8 +409,11 @@ class QuantileService:
             "service.ingest_flush", jobs=len(live), items=total
         ):
             try:
-                self.engine.ingest(feed, batch_size=max(total, 1))
-                snapshot = self.snapshots.publish(self.engine)
+                report = self.engine.ingest(feed, batch_size=max(total, 1))
+                if report.items:
+                    # Fold on the flush; the first read compiles the fold.
+                    self.engine.merged_summary()
+                    self._epoch += 1
             except ReproError as error:
                 for job in live:
                     if not job.future.done():
@@ -412,15 +422,16 @@ class QuantileService:
                         )
                 return
         self._flush_items.observe(total)
-        self._snapshot_epoch.set(snapshot.epoch)
+        self._epoch_gauge.set(self._epoch)
         for payload in payloads:
             # Lane-agnostic: the reservoir samples raw buffers and exact
             # rationals alike (it only ever compares float keys).
             self.auditor.observe_batch(payload)
+        n = self.engine.items_ingested
         for job in live:
             if not job.future.done():
                 job.future.set_result(
-                    {"items": len(job.values), "n": snapshot.items, "epoch": snapshot.epoch}
+                    {"items": len(job.values), "n": n, "epoch": self._epoch}
                 )
 
     # -- connection handling -------------------------------------------------------
@@ -575,11 +586,10 @@ class QuantileService:
             raise _Shed(protocol.ERR_DEADLINE, "deadline expired before dispatch")
         op = request.op
         if op == "ping":
-            snapshot = self.snapshots.current()
             return protocol.ok_response(
                 request.id,
-                epoch=snapshot.epoch,
-                n=snapshot.items,
+                epoch=self._epoch,
+                n=self.engine.items_ingested,
                 draining=self._draining,
             )
         if op == "hello":
@@ -637,56 +647,51 @@ class QuantileService:
         ).inc(result["items"])
         return protocol.ok_response(request.id, **result)
 
-    def _count_read_index(self, snapshot) -> None:
-        """Count whether this read found the snapshot's index already compiled.
-
-        Same-epoch reads coalesce onto one compiled index: the first read of
-        an epoch compiles (a miss), every later read reuses it (a hit).
-        """
-        name = "read_index_hits_total" if snapshot.index_ready else (
-            "read_index_misses_total"
-        )
-        self.registry.counter(
-            SERVICE_NAMESPACE + name,
-            help="snapshot read-index cache hits/misses",
-        ).inc()
+    def _require_items(self) -> None:
+        # The engine's index answers rank 0 on an empty ``exact`` summary;
+        # the wire promises ``empty`` for every type instead.
+        if not self.engine.items_ingested:
+            raise EmptySummaryError(
+                "the service has not ingested any items yet (epoch 0)"
+            )
 
     def _op_query(self, request: protocol.Request) -> dict:
-        snapshot = self.snapshots.current()
         phis = [float(phi) for phi in request.phis]
-        if not snapshot.empty:
-            self._count_read_index(snapshot)
+        self._require_items()
         # One index pass answers the whole list, in input order.
-        values = snapshot.query_many(phis)
+        values = self.engine.quantiles(phis)
         self.auditor.maybe_audit(list(zip(phis, values)))
         results = [
             {"phi": phi, "value": str(value), "approx": float(value)}
             for phi, value in zip(phis, values)
         ]
         return protocol.ok_response(
-            request.id, epoch=snapshot.epoch, n=snapshot.items, results=results
+            request.id,
+            epoch=self._epoch,
+            n=self.engine.items_ingested,
+            results=results,
         )
 
     def _op_rank(self, request: protocol.Request) -> dict:
-        snapshot = self.snapshots.current()
         values = [as_fraction(raw) for raw in request.values]
-        if not snapshot.empty:
-            self._count_read_index(snapshot)
-        ranks = snapshot.rank_many(values)
+        self._require_items()
+        ranks = self.engine.rank_many(values)
         results = [
             {"value": str(value), "rank": rank}
             for value, rank in zip(values, ranks)
         ]
         return protocol.ok_response(
-            request.id, epoch=snapshot.epoch, n=snapshot.items, results=results
+            request.id,
+            epoch=self._epoch,
+            n=self.engine.items_ingested,
+            results=results,
         )
 
     def _op_stats(self, request: protocol.Request) -> dict:
-        snapshot = self.snapshots.current()
         return protocol.ok_response(
             request.id,
             service={
-                "epoch": snapshot.epoch,
+                "epoch": self._epoch,
                 "queue_depth": self._queue.depth,
                 "connections": len(self._connections),
                 "draining": self._draining,

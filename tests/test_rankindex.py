@@ -11,11 +11,11 @@ Three pillars:
 * the **engine cache contract** — the engine's index is compiled once per
   ingest generation, reused across reads (hit/miss/compile counters), and
   rebuilt after the next ingest; batched ``quantiles``/``rank_many`` count
-  one query per call and match the per-call answers;
-* the **snapshot lifetime contract** — a snapshot compiles lazily on first
-  read and serves the same frozen index for its whole epoch.
+  one query per call and match the per-call answers; a summary type
+  without a ``compile_index`` builder never reaches the engine.
 """
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 import repro.summaries  # noqa: F401  (registers every summary type)
 from repro.cli import main as cli_main
 from repro.engine import EngineConfig, ShardedQuantileEngine
-from repro.errors import EmptySummaryError, InvalidQuantileError
+from repro.errors import EmptySummaryError, EngineError, InvalidQuantileError
+from repro.model import registry
 from repro.model.rankindex import (
     RankIndex,
     compile_generic_index,
@@ -34,7 +35,6 @@ from repro.model.rankindex import (
 )
 from repro.model.registry import create_summary, descriptors
 from repro.model.summary import QuantileSummary
-from repro.service.snapshots import Snapshot, SnapshotStore
 from repro.universe.item import key_of
 from repro.universe.universe import Universe
 
@@ -219,21 +219,20 @@ class TestEngineReadIndex:
         probes = [0, 250, 500, 999, 10_000]
         assert engine.rank_many(probes) == [engine.rank(v) for v in probes]
 
-    def test_unsupported_summary_type_falls_back(self):
-        # sliding-gk has a merge but no compile_index: reads must still work
-        # and the unsupported outcome must be cached (one miss, then hits).
-        engine = ShardedQuantileEngine(
-            EngineConfig(summary="gk", shards=1, epsilon=0.05)
+    def test_config_rejects_a_mergeable_type_without_compile_index(
+        self, monkeypatch
+    ):
+        # Every mergeable type registers compile_index today, so strip it
+        # from one descriptor: validate must refuse the type up front.
+        descriptor = registry.get_descriptor("kll")
+        monkeypatch.setitem(
+            registry._DESCRIPTORS,
+            "kll",
+            dataclasses.replace(descriptor, compile_index=None),
         )
-        engine.ingest(range(100))
-        assert engine.read_index() is not None
-        no_index = ShardedQuantileEngine(
-            EngineConfig(summary="kll", shards=1, epsilon=0.05)
-        )
-        no_index.ingest(range(100))
-        # Simulate an unindexed merged type by clearing the registry hook:
-        # qdigest/turnstile are not mergeable, so exercise the fallback via
-        # the dispatcher directly instead.
+        with pytest.raises(EngineError, match="compile_index"):
+            EngineConfig(summary="kll", shards=1, epsilon=0.05).validate()
+        # The CLI's `quantiles` path still falls back per call on such types.
         assert compile_rank_index(create_summary("turnstile", 0.1)) is None
 
     def test_restored_engine_compiles_fresh(self, tmp_path):
@@ -244,43 +243,6 @@ class TestEngineReadIndex:
         restored = ShardedQuantileEngine.restore(path)
         phis = [0.1, 0.5, 0.9]
         assert restored.quantiles(phis) == engine.quantiles(phis)
-
-
-class TestSnapshotReadIndex:
-    def _snapshot(self, n=500):
-        engine = ShardedQuantileEngine(
-            EngineConfig(summary="gk", shards=2, epsilon=0.02)
-        )
-        engine.ingest(range(n))
-        store = SnapshotStore()
-        return store.publish(engine)
-
-    def test_lazy_compile_then_reuse_for_snapshot_lifetime(self):
-        snapshot = self._snapshot()
-        assert not snapshot.index_ready
-        first = snapshot.read_index()
-        assert isinstance(first, RankIndex)
-        assert snapshot.index_ready
-        snapshot.query(0.5)
-        snapshot.rank(Fraction(100))
-        assert snapshot.read_index() is first
-
-    def test_batched_snapshot_reads_match_per_call(self):
-        snapshot = self._snapshot()
-        phis = [0.9, 0.1, 0.5]
-        assert snapshot.query_many(phis) == [snapshot.query(phi) for phi in phis]
-        values = [Fraction(10), Fraction(499), Fraction(-3)]
-        assert snapshot.rank_many(values) == [
-            snapshot.rank(value) for value in values
-        ]
-
-    def test_empty_snapshot_raises_without_compiling(self):
-        snapshot = Snapshot(epoch=0, items=0, summary=None, published_ns=0)
-        with pytest.raises(EmptySummaryError, match="epoch 0"):
-            snapshot.query_many([0.5])
-        with pytest.raises(EmptySummaryError, match="epoch 0"):
-            snapshot.rank_many([Fraction(1)])
-        assert not snapshot.index_ready
 
 
 class TestQuantilesQueryCLI:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.engine import EngineConfig
+from repro.engine import EngineConfig, ShardedQuantileEngine
 from repro.errors import RequestFailed
 from repro.service import (
     LoadConfig,
@@ -28,9 +28,9 @@ from repro.service import (
 EPSILON = 0.02
 
 
-def make_service(**service_kwargs) -> QuantileService:
+def make_service(summary="gk", shards=2, **service_kwargs) -> QuantileService:
     return QuantileService(
-        engine_config=EngineConfig(summary="gk", epsilon=EPSILON, shards=2),
+        engine_config=EngineConfig(summary=summary, epsilon=EPSILON, shards=shards),
         config=ServiceConfig(port=0, **service_kwargs),
     )
 
@@ -124,6 +124,71 @@ class TestBasicOperations:
             return excinfo.value.code
 
         assert run(scenario()) == protocol.ERR_EMPTY
+
+    @pytest.mark.parametrize("summary", ["gk", "exact"])
+    def test_reads_before_any_insert_answer_empty(self, summary):
+        # The exact index answers rank 0 on an empty summary; only the
+        # service's own guard turns that into `empty` on the wire.
+        async def scenario():
+            service = make_service(summary=summary)
+            port = await started(service)
+            async with QuantileClient("127.0.0.1", port) as client:
+                with pytest.raises(RequestFailed) as query_error:
+                    await client.query([0.5])
+                with pytest.raises(RequestFailed) as rank_error:
+                    await client.rank([1])
+            await service.stop()
+            return query_error.value.code, rank_error.value.code
+
+        assert run(scenario()) == (protocol.ERR_EMPTY, protocol.ERR_EMPTY)
+
+    def test_epoch_counts_flushes_that_grew_the_engine(self):
+        async def scenario():
+            service = make_service()
+            port = await started(service)
+            epochs = []
+            async with QuantileClient("127.0.0.1", port) as client:
+                epochs.append((await client.ping())["epoch"])
+                for start in (0, 100):
+                    acked = await client.insert(list(range(start, start + 100)))
+                    epochs.append(acked["epoch"])
+                    epochs.append((await client.ping())["epoch"])
+            await service.stop()
+            return epochs
+
+        assert run(scenario()) == [0, 1, 1, 2, 2]
+
+    def test_one_shard_reads_follow_ingest(self):
+        # With one shard the fold is the live shard itself: a read index
+        # compiled before an insert must not answer after it.
+        near = list(range(1, 501))
+        far = list(range(10_000, 20_000))
+        phis = [0.1, 0.5, 0.9]
+        probes = [250, 15_000]
+
+        async def scenario():
+            service = make_service(shards=1)
+            port = await started(service)
+            async with QuantileClient("127.0.0.1", port) as client:
+                await client.insert(near)
+                first = await client.query(phis)
+                await client.insert(far)
+                second = await client.query(phis)
+                ranks = await client.rank(probes)
+            await service.stop()
+            return first, second, ranks
+
+        first, second, ranks = run(scenario())
+        fresh = ShardedQuantileEngine(
+            EngineConfig(summary="gk", epsilon=EPSILON, shards=1)
+        )
+        fresh.ingest(near)
+        fresh.ingest(far)
+        served = [Fraction(entry["value"]) for entry in second["results"]]
+        assert served == fresh.quantiles(phis)
+        assert served != [Fraction(entry["value"]) for entry in first["results"]]
+        assert [entry["rank"] for entry in ranks["results"]] == fresh.rank_many(probes)
+        assert second["n"] == ranks["n"] == fresh.items_ingested
 
     def test_malformed_values_answer_malformed_record_not_a_dropped_connection(self):
         async def scenario():
@@ -258,7 +323,8 @@ class TestGracefulDrain:
             assert isinstance(error, RequestFailed)
             assert error.code in protocol.RETRYABLE_CODES
         assert service.engine.items_ingested == acked
-        assert service.snapshots.current().items == acked
+        served = [outcome["n"] for outcome in outcomes if isinstance(outcome, dict)]
+        assert max(served, default=0) == acked
 
     def test_inserts_after_drain_get_shutting_down(self):
         async def scenario():
@@ -300,6 +366,7 @@ class TestGracefulDrain:
         run(first_life())
         pong, answer = run(second_life())
         assert pong["n"] == 2000
+        assert pong["epoch"] == answer["epoch"] == 1
         assert abs(int(Fraction(answer["results"][0]["value"])) - 1000) <= (
             EPSILON * 2000
         )

@@ -24,6 +24,7 @@ from repro.engine import (
     read_checkpoint,
     route_batch,
 )
+from repro.engine.workers import inline
 from repro.engine.workers.ipc import (
     MODE_INTS,
     MODE_PAIRS,
@@ -314,6 +315,43 @@ class TestProcessPoolBitIdentity:
                     )
                 )
         assert answers[0] == answers[1]
+
+
+class TestThreadExecutor:
+    def test_one_pool_per_executor_then_inline_after_close(
+        self, tmp_path, monkeypatch
+    ):
+        pools = []
+
+        class CountingPool(inline.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(inline, "ThreadPoolExecutor", CountingPool)
+        engines = {
+            executor: ShardedQuantileEngine(
+                EngineConfig(
+                    summary="gk", epsilon=0.05, shards=4,
+                    executor=executor, workers=2,
+                )
+            )
+            for executor in ("serial", "thread")
+        }
+        values = _values(5000)
+        for start in range(0, 4000, 200):  # 20 ingest calls
+            for engine in engines.values():
+                engine.ingest(values[start : start + 200])
+        assert len(pools) == 1
+        engines["thread"].close()
+        for engine in engines.values():
+            engine.ingest(values[4000:])
+        assert len(pools) == 1
+        for executor, engine in engines.items():
+            engine.checkpoint(tmp_path / f"{executor}.jsonl")
+        assert _shard_records(tmp_path / "serial.jsonl") == _shard_records(
+            tmp_path / "thread.jsonl"
+        )
 
 
 class TestWorkerTelemetry:
