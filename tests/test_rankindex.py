@@ -12,9 +12,14 @@ Three pillars:
   ingest generation, reused across reads (hit/miss/compile counters), and
   rebuilt after the next ingest; batched ``quantiles``/``rank_many`` count
   one query per call and match the per-call answers; a summary type
-  without a ``compile_index`` builder never reaches the engine.
+  without a ``compile_index`` builder never reaches the engine;
+* the **snapshot lifetime contract** — the service's flush folds the
+  shards, the first read of the epoch compiles the fold, and every later
+  read of the epoch reuses that index; an empty service refuses reads
+  without compiling.
 """
 
+import asyncio
 import dataclasses
 import io
 from fractions import Fraction
@@ -26,7 +31,12 @@ from hypothesis import strategies as st
 import repro.summaries  # noqa: F401  (registers every summary type)
 from repro.cli import main as cli_main
 from repro.engine import EngineConfig, ShardedQuantileEngine
-from repro.errors import EmptySummaryError, EngineError, InvalidQuantileError
+from repro.errors import (
+    EmptySummaryError,
+    EngineError,
+    InvalidQuantileError,
+    RequestFailed,
+)
 from repro.model import registry
 from repro.model.rankindex import (
     RankIndex,
@@ -35,6 +45,7 @@ from repro.model.rankindex import (
 )
 from repro.model.registry import create_summary, descriptors
 from repro.model.summary import QuantileSummary
+from repro.service import QuantileClient, QuantileService, ServiceConfig, protocol
 from repro.universe.item import key_of
 from repro.universe.universe import Universe
 
@@ -243,6 +254,83 @@ class TestEngineReadIndex:
         restored = ShardedQuantileEngine.restore(path)
         phis = [0.1, 0.5, 0.9]
         assert restored.quantiles(phis) == engine.quantiles(phis)
+
+
+class TestSnapshotReadIndex:
+    """The engine's read index as the service serves it for one epoch."""
+
+    def _serve(self, talk, n=500, summary="gk"):
+        service = QuantileService(
+            engine_config=EngineConfig(summary=summary, shards=2, epsilon=0.02),
+            config=ServiceConfig(port=0),
+        )
+
+        async def scenario():
+            await service.start()
+            try:
+                async with QuantileClient("127.0.0.1", service.port) as client:
+                    if n:
+                        await client.insert(list(range(n)))
+                    return await talk(service, client)
+            finally:
+                await service.stop()
+
+        return asyncio.run(scenario())
+
+    def _counters(self, service):
+        return dict(service.engine.stats()["telemetry"]["counters"])
+
+    def test_lazy_compile_then_reuse_for_snapshot_lifetime(self):
+        async def talk(service, client):
+            # The acked insert's flush folded the shards and compiled nothing.
+            folded = self._counters(service)
+            await client.query([0.5])
+            first = service.engine.read_index()
+            await client.query([0.1, 0.9])
+            await client.rank([100])
+            reused = service.engine.read_index() is first
+            return folded, first, reused, self._counters(service)
+
+        folded, first, reused, after = self._serve(talk)
+        assert folded["merges_performed"] == 1
+        assert folded.get("read_index_compiles", 0) == 0
+        assert isinstance(first, RankIndex)
+        assert reused
+        assert after["read_index_compiles"] == 1
+        assert after["merges_performed"] == 1
+
+    def test_batched_snapshot_reads_match_per_call(self):
+        phis = [0.9, 0.1, 0.5]
+        values = [10, 499, -3, "1/2"]
+
+        async def talk(service, client):
+            batched = (await client.query(phis), await client.rank(values))
+            single = (
+                [await client.query([phi]) for phi in phis],
+                [await client.rank([value]) for value in values],
+            )
+            return batched, single
+
+        (queried, ranked), (queries, ranks) = self._serve(talk)
+        assert queried["results"] == [q["results"][0] for q in queries]
+        assert ranked["results"] == [r["results"][0] for r in ranks]
+        assert {q["epoch"] for q in queries + ranks} == {queried["epoch"]}
+
+    def test_empty_snapshot_raises_without_compiling(self):
+        # The exact index would answer rank 0 here; the service's guard
+        # refuses before the engine is asked to compile anything.
+        async def talk(service, client):
+            errors = []
+            for read in (client.query([0.5]), client.rank([1])):
+                with pytest.raises(RequestFailed) as excinfo:
+                    await read
+                errors.append(excinfo.value)
+            return errors, self._counters(service)
+
+        errors, counters = self._serve(talk, n=0, summary="exact")
+        assert [error.code for error in errors] == [protocol.ERR_EMPTY] * 2
+        assert all("epoch 0" in str(error) for error in errors)
+        assert counters.get("read_index_compiles", 0) == 0
 
 
 class TestQuantilesQueryCLI:
