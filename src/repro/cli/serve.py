@@ -38,7 +38,6 @@ def cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
         audit_fraction=args.audit_fraction,
         audit_reservoir=args.audit_reservoir,
         audit_seed=args.audit_seed,
-        wire=args.wire,
     )
     engine = None
     if args.checkpoint and args.resume:
@@ -277,13 +276,6 @@ def add_parsers(subparsers) -> None:
         help="drain and exit after SECONDS (for smoke tests)",
     )
     serve.add_argument(
-        "--wire",
-        default="both",
-        choices=("both", "ndjson"),
-        help="both = connections may hello-upgrade to the binary frame "
-        "lane; ndjson = refuse the upgrade (docs/service.md, Wire formats)",
-    )
-    serve.add_argument(
         "--trace", metavar="PATH", help="JSONL span trace of the serving run"
     )
 
@@ -303,8 +295,8 @@ def add_parsers(subparsers) -> None:
         "--wire",
         default="ndjson",
         choices=("ndjson", "frames"),
-        help="frames = negotiate the binary frame lane for inserts "
-        "(falls back to ndjson if the server refuses)",
+        help="frames = send inserts as binary frames (NDJSON lines for "
+        "values a frame cannot carry exactly, or a server without frames)",
     )
     client.add_argument(
         "--window",

@@ -10,7 +10,7 @@ seeded exponential backoff); the deterministic load generator in
 :mod:`repro.service.loadgen`; and the online accuracy auditor in
 :mod:`repro.service.audit` (seeded shadow reservoir, ``service_rank_error``
 metrics).  The NDJSON wire protocol is specified in
-:mod:`repro.service.protocol`, the negotiated binary frame lane in
+:mod:`repro.service.protocol`, the binary frame lane in
 :mod:`repro.service.frames`; both are documented in ``docs/service.md``
 under "Wire formats".
 """

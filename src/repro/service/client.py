@@ -17,8 +17,9 @@ Two failure channels are kept distinct on purpose:
   when ``retry_shed`` is set — the server guarantees a shed request was
   never applied, so the retry cannot double-ingest.
 
-With ``wire="frames"`` the client negotiates the binary frame lane
-(:mod:`repro.service.frames`) at connect time via ``hello`` and then:
+With ``wire="frames"`` the client probes the server with ``hello`` at
+connect time, learns its frame cap and in-flight window, and then uses the
+binary frame lane (:mod:`repro.service.frames`):
 
 * :meth:`QuantileClient.insert` sends faithfully frameable batches as one
   binary frame and awaits the ack (values a frame cannot carry exactly —
@@ -29,8 +30,8 @@ With ``wire="frames"`` the client negotiates the binary frame lane
 * NDJSON ops (query/rank/stats/ping) still work on the same connection:
   the client drains in-flight inserts first, so read-your-writes holds.
 
-A server that refuses the upgrade (``wire="ndjson"`` config, or an older
-release without ``hello``) degrades the client to plain NDJSON silently.
+A server that does not grant frames (an older release without ``hello``
+answers it ``bad_request``) degrades the client to plain NDJSON silently.
 
 ``fetch_metrics`` speaks the other dialect of the same port: it issues an
 HTTP/1.0 ``GET /metrics`` on a fresh connection and returns the Prometheus
@@ -116,7 +117,6 @@ class QuantileClient:
         self.retries_used = 0
         self._frames_active = False
         self._server_window = window
-        self._max_frame_values: int | None = None
         #: In-flight pipelined inserts, oldest first: (masked id, count, t0).
         self._pending: deque[tuple[int, int, int]] = deque()
         self._completed: list[dict] = []
@@ -136,7 +136,7 @@ class QuantileClient:
 
     @property
     def frames_active(self) -> bool:
-        """Whether the current connection negotiated the binary frame lane."""
+        """Whether the server granted frames to this connection's ``hello``."""
         return self._frames_active
 
     @property
@@ -176,7 +176,6 @@ class QuantileClient:
             if isinstance(granted, int) and granted > 0
             else self.window
         )
-        self._max_frame_values = response.get("max_frame_values")
 
     def _reset(self) -> None:
         if self._writer is not None:
@@ -285,8 +284,8 @@ class QuantileClient:
         """Insert one batch as a binary frame and await its ack.
 
         Unlike :meth:`insert` this never falls back: it raises
-        :class:`~repro.errors.ServiceError` when the connection did not
-        negotiate frames or the values are not faithfully frameable.
+        :class:`~repro.errors.ServiceError` when the server did not grant
+        frames or the values are not faithfully frameable.
         """
         await self.connect()
         if not self._frames_active:

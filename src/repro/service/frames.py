@@ -25,11 +25,13 @@ side — no JSON encode, no ``json.loads``, no per-value ``Fraction``::
   with the same stable codes as the NDJSON protocol, so a framed failure is
   machine-readable by the same dispatch table.
 
-Frames are *negotiated*: a connection starts in NDJSON and upgrades via the
-``hello`` op (``{"op": "hello", "wire": "frames"}``).  After the upgrade the
-client may interleave insert frames with NDJSON request lines (reads stay
-NDJSON); the server answers strictly in request order, so a client can keep
-a window of frames in flight and match acknowledgements FIFO.
+Any connection may send frames: the server tells a frame from an NDJSON
+line by its first byte.  The ``hello`` op (``{"op": "hello", "wire":
+"frames"}``) is a capability probe that reports the server's per-frame
+value cap and in-flight window.  A client may interleave insert frames with
+NDJSON request lines (reads stay NDJSON); the server answers strictly in
+request order, so a client can keep a window of frames in flight and match
+acknowledgements FIFO.
 
 Values that are not *faithfully* frameable — ints outside int64, strings,
 exact rationals, ``nan`` — are refused by :func:`pack_values` (returning
@@ -55,7 +57,7 @@ except ImportError:  # pragma: no cover - numpy is in the standard image
 
 #: First wire byte of every frame; 0xF5 is not printable ASCII, so it can
 #: never open a JSON object line or an HTTP method — the server sniffs one
-#: byte to tell frames from lines on an upgraded connection.
+#: byte to tell frames from lines on any connection.
 MAGIC = b"\xf5Q"
 
 HEADER = struct.Struct("<2sBBII")

@@ -39,8 +39,9 @@ MAX_LINE_BYTES = 1 << 20
 
 OPS = ("ping", "hello", "insert", "query", "rank", "stats")
 
-#: Wire dialects a ``hello`` may negotiate; the server grants ``frames``
-#: only when its config allows it (see :mod:`repro.service.frames`).
+#: Wire dialects a ``hello`` may name.  Any connection may send frames
+#: (:mod:`repro.service.frames`); ``hello`` grants the wire asked for and
+#: reports the per-frame value cap and the in-flight window.
 WIRES = ("ndjson", "frames")
 
 # -- error codes --------------------------------------------------------------------
@@ -128,7 +129,7 @@ class Request:
     values: tuple = field(default_factory=tuple)
     phis: tuple = field(default_factory=tuple)
     deadline_ms: float | None = None
-    #: ``hello`` only: the wire dialect the client asks to upgrade to.
+    #: ``hello`` only: the wire dialect the client asks for.
     wire: str | None = None
 
     def to_record(self) -> dict:

@@ -9,8 +9,8 @@ Architecture (one event loop, one writer)::
 
 * **Single-writer ingest.**  Connection handlers never touch the engine;
   an ``insert`` becomes an :class:`IngestJob` on a :class:`BoundedQueue`
-  and the handler awaits the job's future.  One ingest-loop task drains
-  the queue in micro-batches, feeds all values to
+  and the connection's responder awaits the job's future.  One
+  ingest-loop task drains the queue in micro-batches, feeds all values to
   :meth:`ShardedQuantileEngine.ingest` in a single call, folds the shards,
   bumps the wire ``epoch``, and only then resolves the futures — an
   acknowledged insert is therefore always visible to the acknowledging
@@ -27,14 +27,15 @@ Architecture (one event loop, one writer)::
   Nothing is ever dropped without a response.
 * **Graceful drain.**  :meth:`QuantileService.stop` stops accepting
   connections, closes the queue, waits for the ingest loop to flush every
-  admitted job (resolving every future), optionally checkpoints the
-  engine, and only then closes client sockets.
-* **Two wire dialects, one port.**  Every connection starts in NDJSON; a
-  ``hello`` request may upgrade it to the binary frame lane
-  (:mod:`repro.service.frames`), where insert batches arrive as contiguous
-  int64/float64 buffers and flow through :class:`IngestJob` into the
-  engine's columnar lane without a single per-value ``Fraction``.  Framed
-  connections are *pipelined*: a reader task admits requests while an
+  admitted job (resolving every future) and for every connection to answer
+  what it admitted, optionally checkpoints the engine, and only then
+  closes client sockets.
+* **Two wire dialects, one connection loop.**  Any connection may mix
+  NDJSON lines with binary insert frames (:mod:`repro.service.frames`);
+  one sniffed byte tells them apart.  Frames carry contiguous
+  int64/float64 buffers that flow through :class:`IngestJob` into the
+  engine's columnar lane without a single per-value ``Fraction``.  Every
+  connection is *pipelined*: a reader task admits requests while an
   ordered responder answers them strictly FIFO, so one client can keep a
   window of inserts in flight (mirroring the shard supervisor's ack
   window) and reads still observe every previously acknowledged insert.
@@ -76,6 +77,10 @@ SERVICE_NAMESPACE = "service_"
 #: scrapeable without the JSON exporter.
 METRICS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
+#: Requests one connection may have admitted but not yet answered; past
+#: this the reader stops reading and the TCP socket pushes back.
+WINDOW = 32
+
 
 @dataclass
 class ServiceConfig:
@@ -86,9 +91,12 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; read the bound port from `service.port`
     max_queue_jobs: int = 256
     max_batch_jobs: int = 64
+    #: Values per insert, whether it arrives as a line or as a frame.
     max_values_per_insert: int = 65536
     default_deadline_ms: float = 5000.0
     linger_ms: float = 0.0
+    #: Budget for a graceful drain: flushing admitted inserts and answering
+    #: every admitted request before the sockets close.
     drain_timeout_s: float = 30.0
     checkpoint_path: str | None = None
     #: Fraction of query responses the online accuracy auditor samples
@@ -96,17 +104,6 @@ class ServiceConfig:
     audit_fraction: float = 0.1
     audit_reservoir: int = 2048
     audit_seed: int = 0
-    #: Wire dialects offered: ``"both"`` lets a ``hello`` upgrade the
-    #: connection to binary frames, ``"ndjson"`` refuses the upgrade.
-    wire: str = "both"
-    #: Values per insert frame; ``None`` = ``max_values_per_insert``.
-    max_frame_values: int | None = None
-    #: Pipelining depth of a framed connection: requests admitted but not
-    #: yet answered.  Backpressure past the window is the TCP socket.
-    max_inflight_per_connection: int = 32
-    #: Stream limit for one NDJSON line; ``None`` computes one that fits a
-    #: maximal legal insert (see :meth:`effective_line_limit`).
-    max_line_bytes: int | None = None
 
     def effective_line_limit(self) -> int:
         """The asyncio stream limit: every legal insert line must fit.
@@ -115,15 +112,7 @@ class ServiceConfig:
         each (``-9007199254740991,``); anything longer than the computed
         bound is answered with ``line_too_long``, never a dead socket.
         """
-        if self.max_line_bytes is not None:
-            return self.max_line_bytes
         return max(protocol.MAX_LINE_BYTES, 24 * self.max_values_per_insert + 4096)
-
-    def frame_value_cap(self) -> int:
-        """Values allowed per insert frame."""
-        if self.max_frame_values is not None:
-            return self.max_frame_values
-        return self.max_values_per_insert
 
     def validate(self) -> "ServiceConfig":
         if self.max_queue_jobs < 1:
@@ -146,23 +135,9 @@ class ServiceConfig:
             )
         if self.linger_ms < 0:
             raise ServiceError(f"linger_ms must be >= 0, got {self.linger_ms}")
-        if self.wire not in ("both", "ndjson"):
+        if self.drain_timeout_s <= 0:
             raise ServiceError(
-                f"wire must be 'both' or 'ndjson', got {self.wire!r}"
-            )
-        if self.max_frame_values is not None and self.max_frame_values < 1:
-            raise ServiceError(
-                "max_frame_values must be positive, got "
-                f"{self.max_frame_values}"
-            )
-        if self.max_inflight_per_connection < 1:
-            raise ServiceError(
-                "max_inflight_per_connection must be positive, got "
-                f"{self.max_inflight_per_connection}"
-            )
-        if self.max_line_bytes is not None and self.max_line_bytes < 256:
-            raise ServiceError(
-                f"max_line_bytes must be >= 256, got {self.max_line_bytes}"
+                f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
             )
         AuditConfig(
             fraction=self.audit_fraction,
@@ -242,7 +217,8 @@ class QuantileService:
         self._queue = BoundedQueue(self.config.max_queue_jobs)
         self._server: asyncio.AbstractServer | None = None
         self._ingest_task: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Each live connection's writer and its queue of admitted requests.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Queue] = {}
         self._draining = False
         self._stopped = False
 
@@ -335,7 +311,7 @@ class QuantileService:
         )
 
     async def stop(self) -> None:
-        """Graceful drain: refuse new work, flush admitted work, then close.
+        """Graceful drain: refuse new work, answer admitted work, then close.
 
         Ordering (the contract ``docs/service.md`` documents):
 
@@ -343,9 +319,14 @@ class QuantileService:
            (new inserts answer ``shutting_down``);
         2. close the ingest queue and wait for the ingest loop to flush
            every admitted job — every pending future resolves;
-        3. checkpoint the engine if configured, then close it (releasing
+        3. wait until every connection has answered what it admitted, so
+           no ack is lost with its socket and no read runs against a
+           closed engine;
+        4. checkpoint the engine if configured, then close it (releasing
            any shard-worker processes);
-        4. close remaining client sockets.
+        5. close remaining client sockets.
+
+        Steps 2 and 3 share one ``drain_timeout_s`` budget.
         """
         if self._stopped:
             return
@@ -354,6 +335,8 @@ class QuantileService:
         if self._server is not None:
             self._server.close()
         self._queue.close()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_s
         if self._ingest_task is not None:
             try:
                 await asyncio.wait_for(
@@ -361,6 +344,13 @@ class QuantileService:
                 )
             except asyncio.TimeoutError:
                 self._ingest_task.cancel()
+        answered = asyncio.gather(
+            *(queue.join() for queue in self._connections.values())
+        )
+        try:
+            await asyncio.wait_for(answered, timeout=max(0.0, deadline - loop.time()))
+        except asyncio.TimeoutError:
+            pass
         if self.config.checkpoint_path:
             self.engine.checkpoint(Path(self.config.checkpoint_path))
         self.engine.close()
@@ -422,6 +412,10 @@ class QuantileService:
                         )
                 return
         self._flush_items.observe(total)
+        self.registry.counter(
+            SERVICE_NAMESPACE + "items_inserted_total",
+            help="values accepted into the engine",
+        ).inc(total)
         self._epoch_gauge.set(self._epoch)
         for payload in payloads:
             # Lane-agnostic: the reservoir samples raw buffers and exact
@@ -439,58 +433,174 @@ class QuantileService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
+        """Serve one connection: pipelined frames and NDJSON lines.
+
+        A reader loop *admits* requests while an ordered responder task
+        answers them strictly FIFO through a bounded queue, so one client
+        keeps up to :data:`WINDOW` inserts in flight.  Frames and lines
+        interleave freely; because a line is answered only after every
+        insert admitted before it, read-your-writes holds on both wires.
+        """
+        queue: asyncio.Queue = asyncio.Queue(maxsize=WINDOW)
+        self._connections[writer] = queue
         self._open_connections.set(len(self._connections))
+        responder = asyncio.create_task(
+            self._respond(queue, writer), name="service-responder"
+        )
         try:
-            first = await self._read_line(reader, writer)
-            if first is None:
-                return
-            if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
-                await self._serve_http(first, reader, writer)
-                return
-            line = first
-            while line is not None:
-                if line.strip():
-                    granted = await self._handle_line(line, writer)
-                    if granted == "frames":
-                        await self._run_frames(reader, writer)
-                        return
-                line = await self._read_line(reader, writer)
+            first = True
+            while await self._read_request(reader, writer, queue, first):
+                first = False
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
-            self._open_connections.set(len(self._connections))
-            writer.close()
+            try:
+                await queue.put(None)
+                await responder
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            except asyncio.CancelledError:
+                # Torn down mid-drain (loop shutdown): never leak the task.
+                responder.cancel()
+                raise
+            finally:
+                del self._connections[writer]
+                self._open_connections.set(len(self._connections))
+                writer.close()
 
-    async def _read_line(self, reader, writer) -> bytes | None:
-        """One wire line; ``b""`` after a discarded oversize line; ``None`` at EOF.
+    async def _read_request(self, reader, writer, queue, first: bool) -> bool:
+        """Admit one frame or line into the response queue; False to close.
 
-        An overrun line answers ``line_too_long`` and the connection keeps
-        serving: the rest of the oversized line is drained off the stream
-        so the next request parses cleanly.  Without the drain the tail of
-        the long line would masquerade as new requests.
+        One sniffed byte tells them apart: the frame magic opens a frame,
+        anything else a line (:meth:`_admit_line`).
+
+        Recovery contract (what :data:`protocol.ERR_BAD_FRAME` promises):
+        a structurally bad frame whose payload bytes can still be consumed
+        — unknown kind or mode, misaligned or empty or over-cap payload —
+        answers an error frame and the connection keeps serving.  Only a
+        corrupt length prefix (bad magic, or a declared payload past
+        :data:`frames.MAX_DRAIN_BYTES`) ends the stream's framing, and
+        even then the error frame goes out before the socket closes.
         """
         try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as eof:
-            return eof.partial or None
-        except asyncio.LimitOverrunError:
-            self._count_response(protocol.ERR_LINE_TOO_LONG)
-            await self._send(
-                writer,
-                protocol.error_response(
-                    None,
-                    protocol.ERR_LINE_TOO_LONG,
-                    f"line exceeds {self.config.effective_line_limit()} "
-                    "bytes; split the insert into smaller batches or use "
-                    "the frame wire",
-                ),
+            head = await reader.readexactly(1)
+        except asyncio.IncompleteReadError:
+            return False  # clean EOF between requests
+        if head != frames.MAGIC[:1]:
+            return await self._admit_line(head, reader, writer, queue, first)
+        try:
+            header = head + await reader.readexactly(frames.HEADER_SIZE - 1)
+        except asyncio.IncompleteReadError:
+            return False  # EOF mid-header: the peer vanished, nobody to answer
+        try:
+            kind, mode, request_id, length = frames.decode_header(header)
+        except frames.FrameError as error:
+            await self._admit_error_frame(queue, None, protocol.ERR_BAD_FRAME, str(error))
+            return await self._drain_line_tail(reader)  # resync heuristically
+        if length > frames.MAX_DRAIN_BYTES:
+            await self._admit_error_frame(
+                queue,
+                request_id,
+                protocol.ERR_BAD_FRAME,
+                f"frame declares a {length}-byte payload; the wire cap is "
+                f"{frames.MAX_DRAIN_BYTES} bytes",
             )
-            if not await self._drain_line_tail(reader):
-                return None
-            return b""
-        return line
+            return False  # too big to drain: answer, then close
+        try:
+            payload = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            return False  # truncated at EOF: nobody left to answer
+        started = perf_counter_ns()
+        try:
+            buffer = frames.decode_insert(
+                kind, mode, payload, max_values=self.config.max_values_per_insert
+            )
+        except frames.FrameError as error:
+            await self._admit_error_frame(
+                queue, request_id, protocol.ERR_BAD_FRAME, str(error)
+            )
+            return True
+        self._count_request("insert")
+        if not frames.all_finite(buffer):
+            await self._admit_error_frame(
+                queue,
+                request_id,
+                protocol.ERR_BAD_VALUE,
+                "f64 frame carries non-finite values (nan/inf)",
+            )
+            return True
+        try:
+            job = self._admit(buffer, Deadline(self.config.default_deadline_ms))
+        except _Shed as shed:
+            await self._admit_error_frame(queue, request_id, shed.code, shed.message)
+            return True
+        await queue.put(("job", request_id, job, started))
+        return True
+
+    async def _admit_line(
+        self, head: bytes, reader, writer, queue, first: bool
+    ) -> bool:
+        """Queue one NDJSON line for the responder; a first line may be HTTP."""
+        try:
+            line = head + await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as eof:
+            line = head + eof.partial
+        except asyncio.LimitOverrunError:
+            # The rest of the oversized line is drained off the stream so
+            # the next request parses cleanly; the connection keeps serving.
+            error = protocol.error_response(
+                None,
+                protocol.ERR_LINE_TOO_LONG,
+                f"line exceeds {self.config.effective_line_limit()} bytes; "
+                "split the insert into smaller batches or use insert frames",
+            )
+            await queue.put(
+                ("error", protocol.encode_line(error), protocol.ERR_LINE_TOO_LONG)
+            )
+            return await self._drain_line_tail(reader)
+        if first and line.split(b" ", 1)[0] in (b"GET", b"HEAD"):
+            await self._serve_http(line, reader, writer)
+            return False
+        if line.strip():
+            await queue.put(("line", line))
+        return line.endswith(b"\n")  # a partial final line still gets answered
+
+    async def _admit_error_frame(
+        self, queue: asyncio.Queue, request_id: int | None, code: str, message: str
+    ) -> None:
+        await queue.put(
+            ("error", frames.encode_error(request_id, code, message), code)
+        )
+
+    async def _respond(self, queue: asyncio.Queue, writer) -> None:
+        """Answer admitted requests strictly in admission order."""
+        while True:
+            item = await queue.get()
+            if item is None:
+                queue.task_done()
+                return
+            tag = item[0]
+            if tag == "line":
+                await self._handle_line(item[1], writer)
+            elif tag == "error":  # refused at admission, already encoded
+                self._count_response(item[2])
+                await self._write(writer, item[1])
+            else:
+                _, request_id, job, started = item
+                try:
+                    result = await job.future
+                except _Shed as shed:
+                    code = shed.code
+                    frame = frames.encode_error(request_id, shed.code, shed.message)
+                else:
+                    code = "ok"
+                    frame = frames.encode_ack(
+                        request_id, result["items"], result["n"], result["epoch"]
+                    )
+                self._count_response(code)
+                self._latency["insert"].observe(perf_counter_ns() - started)
+                await self._write(writer, frame)
+            queue.task_done()
 
     async def _drain_line_tail(self, reader) -> bool:
         """Discard stream bytes up to the next newline; False at EOF.
@@ -517,14 +627,17 @@ class QuantileService:
                     return True
 
     async def _send(self, writer: asyncio.StreamWriter, record: dict) -> None:
-        writer.write(protocol.encode_line(record))
+        await self._write(writer, protocol.encode_line(record))
+
+    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
+        writer.write(data)
         try:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
 
-    async def _handle_line(self, line: bytes, writer) -> str | None:
-        """Answer one NDJSON line; returns the granted wire after a ``hello``."""
+    async def _handle_line(self, line: bytes, writer) -> None:
+        """Answer one NDJSON line."""
         started = perf_counter_ns()
         try:
             request = protocol.parse_request(
@@ -576,9 +689,6 @@ class QuantileService:
         self._count_response(code)
         self._latency[request.op].observe(perf_counter_ns() - started)
         await self._send(writer, response)
-        if request.op == "hello" and response.get("ok"):
-            return response.get("wire")
-        return None
 
     async def _dispatch(self, request: protocol.Request, deadline: Deadline) -> dict:
         if deadline.expired():
@@ -593,16 +703,12 @@ class QuantileService:
                 draining=self._draining,
             )
         if op == "hello":
-            granted = (
-                "frames"
-                if request.wire == "frames" and self.config.wire != "ndjson"
-                else "ndjson"
-            )
+            # A capability probe: any connection may send frames.
             return protocol.ok_response(
                 request.id,
-                wire=granted,
-                max_frame_values=self.config.frame_value_cap(),
-                window=self.config.max_inflight_per_connection,
+                wire=request.wire,
+                max_frame_values=self.config.max_values_per_insert,
+                window=WINDOW,
             )
         if op == "insert":
             return await self._op_insert(request, deadline)
@@ -615,11 +721,6 @@ class QuantileService:
         raise _Shed(protocol.ERR_BAD_REQUEST, f"unhandled op {op!r}")
 
     async def _op_insert(self, request: protocol.Request, deadline: Deadline) -> dict:
-        if self._draining:
-            self._count_shed("shutdown")
-            raise _Shed(
-                protocol.ERR_SHUTTING_DOWN, "service is draining; retry elsewhere"
-            )
         if len(request.values) > self.config.max_values_per_insert:
             raise _Shed(
                 protocol.ERR_BAD_REQUEST,
@@ -627,6 +728,21 @@ class QuantileService:
                 f"{self.config.max_values_per_insert} per request",
             )
         values = [as_fraction(value) for value in request.values]  # EngineError -> bad_value
+        job = self._admit(values, deadline)
+        result = await job.future  # the ingest loop always resolves this
+        return protocol.ok_response(request.id, **result)
+
+    def _admit(self, values, deadline: Deadline) -> IngestJob:
+        """Queue one insert (a line's or a frame's) for the ingest loop.
+
+        Raises :class:`_Shed` with ``shutting_down`` during drain and with
+        ``overloaded`` when the ingest queue is full; the caller answers.
+        """
+        if self._draining:
+            self._count_shed("shutdown")
+            raise _Shed(
+                protocol.ERR_SHUTTING_DOWN, "service is draining; retry elsewhere"
+            )
         job = IngestJob(
             values=values,
             deadline=deadline,
@@ -640,12 +756,7 @@ class QuantileService:
                 "retry with backoff",
             )
         self._queue_depth.set(self._queue.depth)
-        result = await job.future  # the ingest loop always resolves this
-        self.registry.counter(
-            SERVICE_NAMESPACE + "items_inserted_total",
-            help="values accepted into the engine",
-        ).inc(result["items"])
-        return protocol.ok_response(request.id, **result)
+        return job
 
     def _require_items(self) -> None:
         # The engine's index answers rank 0 on an empty ``exact`` summary;
@@ -698,206 +809,6 @@ class QuantileService:
             },
             engine=self.engine.stats(),
         )
-
-    # -- the framed (binary) connection mode ---------------------------------------
-
-    async def _run_frames(self, reader, writer) -> None:
-        """Serve an upgraded connection: pipelined frames + NDJSON lines.
-
-        A reader loop *admits* requests while an ordered responder task
-        answers them strictly FIFO through a bounded queue, so one client
-        keeps up to ``max_inflight_per_connection`` inserts in flight.
-        NDJSON lines interleave freely; because a line is answered only
-        after every insert admitted before it, read-your-writes holds on
-        the frame lane exactly as it does on the plain one.
-        """
-        queue: asyncio.Queue = asyncio.Queue(
-            maxsize=self.config.max_inflight_per_connection
-        )
-        responder = asyncio.create_task(
-            self._frame_responder(queue, writer), name="service-frame-responder"
-        )
-        try:
-            while await self._read_frame(reader, queue):
-                pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                await queue.put(None)
-                await responder
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                # Torn down mid-drain (loop shutdown): never leak the task.
-                responder.cancel()
-                raise
-
-    async def _read_frame(self, reader, queue: asyncio.Queue) -> bool:
-        """Admit one frame or line into the response queue; False to close.
-
-        Recovery contract (what :data:`protocol.ERR_BAD_FRAME` promises):
-        a structurally bad frame whose payload bytes can still be consumed
-        — unknown kind or mode, misaligned or empty or over-cap payload —
-        answers an error frame and the connection keeps serving.  Only a
-        corrupt length prefix (bad magic, or a declared payload past
-        :data:`frames.MAX_DRAIN_BYTES`) ends the stream's framing, and
-        even then the error frame goes out before the socket closes.
-        """
-        try:
-            first = await reader.readexactly(1)
-        except asyncio.IncompleteReadError:
-            return False  # clean EOF between frames
-        if first != frames.MAGIC[:1]:
-            return await self._admit_frame_line(first, reader, queue)
-        try:
-            header = first + await reader.readexactly(frames.HEADER_SIZE - 1)
-        except asyncio.IncompleteReadError:
-            return False  # EOF mid-header: the peer vanished, nobody to answer
-        try:
-            kind, mode, request_id, length = frames.decode_header(header)
-        except frames.FrameError as error:
-            await self._admit_error_frame(queue, None, protocol.ERR_BAD_FRAME, str(error))
-            return await self._drain_line_tail(reader)  # resync heuristically
-        if length > frames.MAX_DRAIN_BYTES:
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_BAD_FRAME,
-                f"frame declares a {length}-byte payload; the wire cap is "
-                f"{frames.MAX_DRAIN_BYTES} bytes",
-            )
-            return False  # too big to drain: answer, then close
-        try:
-            payload = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            return False  # truncated at EOF: nobody left to answer
-        started = perf_counter_ns()
-        try:
-            buffer = frames.decode_insert(
-                kind, mode, payload, max_values=self.config.frame_value_cap()
-            )
-        except frames.FrameError as error:
-            await self._admit_error_frame(
-                queue, request_id, protocol.ERR_BAD_FRAME, str(error)
-            )
-            return True
-        self._count_request("insert")
-        if not frames.all_finite(buffer):
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_BAD_VALUE,
-                "f64 frame carries non-finite values (nan/inf)",
-            )
-            return True
-        if self._draining:
-            self._count_shed("shutdown")
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_SHUTTING_DOWN,
-                "service is draining; retry elsewhere",
-            )
-            return True
-        job = IngestJob(
-            values=buffer,
-            deadline=Deadline(self.config.default_deadline_ms),
-            future=asyncio.get_running_loop().create_future(),
-        )
-        if not self._queue.try_put(job):
-            self._count_shed("queue_full")
-            await self._admit_error_frame(
-                queue,
-                request_id,
-                protocol.ERR_OVERLOADED,
-                f"ingest queue is full ({self.config.max_queue_jobs} jobs); "
-                "retry with backoff",
-            )
-            return True
-        self._queue_depth.set(self._queue.depth)
-        await queue.put(("job", request_id, job, started))
-        return True
-
-    async def _admit_frame_line(self, first: bytes, reader, queue) -> bool:
-        """An NDJSON line on a framed connection, answered in FIFO order."""
-        try:
-            line = first + await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as eof:
-            line = first + eof.partial
-        except asyncio.LimitOverrunError:
-            await queue.put(
-                (
-                    "resp",
-                    protocol.error_response(
-                        None,
-                        protocol.ERR_LINE_TOO_LONG,
-                        f"line exceeds {self.config.effective_line_limit()} "
-                        "bytes; split the insert into smaller batches or "
-                        "use insert frames",
-                    ),
-                    protocol.ERR_LINE_TOO_LONG,
-                )
-            )
-            return await self._drain_line_tail(reader)
-        if line.strip():
-            await queue.put(("line", line))
-        return line.endswith(b"\n")  # a partial final line still gets answered
-
-    async def _admit_error_frame(
-        self, queue: asyncio.Queue, request_id: int | None, code: str, message: str
-    ) -> None:
-        await queue.put(
-            ("frame", frames.encode_error(request_id, code, message), code)
-        )
-
-    async def _frame_responder(self, queue: asyncio.Queue, writer) -> None:
-        """Answer admitted requests strictly in admission order."""
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            tag = item[0]
-            if tag == "line":
-                await self._handle_line(item[1], writer)
-                continue
-            if tag == "resp":
-                self._count_response(item[2])
-                await self._send(writer, item[1])
-                continue
-            if tag == "frame":
-                self._count_response(item[2])
-                await self._write_frame(writer, item[1])
-                continue
-            _, request_id, job, started = item
-            try:
-                result = await job.future
-            except _Shed as shed:
-                self._count_response(shed.code)
-                frame = frames.encode_error(request_id, shed.code, shed.message)
-            except ReproError as error:
-                self._count_response(protocol.ERR_INTERNAL)
-                frame = frames.encode_error(
-                    request_id, protocol.ERR_INTERNAL, str(error)
-                )
-            else:
-                self.registry.counter(
-                    SERVICE_NAMESPACE + "items_inserted_total",
-                    help="values accepted into the engine",
-                ).inc(result["items"])
-                self._count_response("ok")
-                frame = frames.encode_ack(
-                    request_id, result["items"], result["n"], result["epoch"]
-                )
-            self._latency["insert"].observe(perf_counter_ns() - started)
-            await self._write_frame(writer, frame)
-
-    async def _write_frame(self, writer, frame: bytes) -> None:
-        writer.write(frame)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
 
     # -- the HTTP-ish /metrics endpoint --------------------------------------------
 

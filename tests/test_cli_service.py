@@ -31,6 +31,12 @@ class TestParsers:
         assert args.max_queue_jobs == 256
         assert args.default_deadline_ms == 5000.0
 
+    def test_serve_rejects_retired_and_invalid_options(self):
+        with pytest.raises(SystemExit):  # every connection speaks both wires
+            build_parser().parse_args(["serve", "--wire", "ndjson"])
+        with pytest.raises(SystemExit, match="drain_timeout_s"):
+            _run(["serve", "--port", "0", "--drain-timeout", "0"])
+
     def test_client_subcommands_parse(self):
         parser = build_parser()
         assert parser.parse_args(["client", "ping"]).client_command == "ping"

@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ServiceError, match="fraction"):
             ServiceConfig(audit_fraction=2.0).validate()
 
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_service_config_rejects_non_positive_drain_timeout(self, timeout):
+        # A zero budget would cancel the ingest loop before it flushed
+        # what was already admitted.
+        with pytest.raises(ServiceError, match="drain_timeout_s"):
+            ServiceConfig(drain_timeout_s=timeout).validate()
+
 
 class TestReservoir:
     def test_fills_to_capacity_then_stays_bounded(self):

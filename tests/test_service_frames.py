@@ -1,4 +1,4 @@
-"""The binary frame wire: codec, negotiation, recovery, cross-wire identity.
+"""The binary frame wire: codec, hello, recovery, cross-wire identity.
 
 Covers the frame lane's contract end to end: the codec round-trips the
 full int64/float64 range (property-tested), unframeable values are refused
@@ -29,6 +29,7 @@ from repro.service import (
     frames,
     protocol,
 )
+from repro.service.server import WINDOW
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -178,9 +179,14 @@ class TestNegotiation:
 
         run(scenario())
 
-    def test_ndjson_only_server_degrades_client_silently(self):
+    def test_ndjson_only_server_degrades_client_silently(self, monkeypatch):
+        # A release without ``hello`` answers it with bad_request.
+        monkeypatch.setattr(
+            protocol, "OPS", tuple(op for op in protocol.OPS if op != "hello")
+        )
+
         async def scenario():
-            service = make_service(wire="ndjson")
+            service = make_service()
             port = await started(service)
             try:
                 async with QuantileClient(
@@ -197,19 +203,54 @@ class TestNegotiation:
 
         run(scenario())
 
+    def test_frames_need_no_hello(self):
+        async def scenario():
+            service = make_service()
+            port = await started(service)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(frames.encode_insert(7, [5, 6, 7, 8]))
+                writer.write((json.dumps({"op": "ping", "id": 8}) + "\n").encode())
+                await writer.drain()
+                kind, request_id, payload = await read_frame(reader)
+                assert kind == frames.KIND_ACK and request_id == 7
+                assert frames.ACK_BODY.unpack(payload)[:2] == (4, 4)
+                pong = json.loads(await reader.readline())
+                assert pong["ok"] and pong["id"] == 8 and pong["n"] == 4
+                writer.close()
+            finally:
+                await service.stop()
 
-# -- the upgraded connection -------------------------------------------------------
+        run(scenario())
+
+    def test_hello_reports_the_frame_cap_and_window(self):
+        async def scenario():
+            service = make_service(max_values_per_insert=1000)
+            port = await started(service)
+            try:
+                _, writer, granted = await hello_connection(port)
+                writer.close()
+                return granted
+            finally:
+                await service.stop()
+
+        granted = run(scenario())
+        assert granted["max_frame_values"] == 1000
+        assert granted["window"] == WINDOW == 32
 
 
-async def upgraded_connection(port: int):
-    """A raw (reader, writer) already hello-upgraded to the frame wire."""
+# -- raw connections --------------------------------------------------------------
+
+
+async def hello_connection(port: int):
+    """A raw (reader, writer) and the server's answer to a frames ``hello``."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     hello = {"op": "hello", "id": 1, "wire": "frames"}
     writer.write((json.dumps(hello) + "\n").encode())
     await writer.drain()
     granted = json.loads(await reader.readline())
     assert granted["ok"] and granted["wire"] == "frames"
-    return reader, writer
+    return reader, writer, granted
 
 
 async def read_frame(reader):
@@ -225,7 +266,7 @@ class TestRecovery:
             service = make_service()
             port = await started(service)
             try:
-                reader, writer = await upgraded_connection(port)
+                reader, writer, _ = await hello_connection(port)
                 writer.write(
                     frames.HEADER.pack(
                         frames.MAGIC, frames.KIND_INSERT, frames.MODE_I64, 5, 9
@@ -255,7 +296,7 @@ class TestRecovery:
             service = make_service()
             port = await started(service)
             try:
-                reader, writer = await upgraded_connection(port)
+                reader, writer, _ = await hello_connection(port)
                 # Unknown kind: declared payload is drained, error answered.
                 writer.write(
                     frames.HEADER.pack(frames.MAGIC, 0x7E, 0, 8, 16) + b"\0" * 16
@@ -287,7 +328,7 @@ class TestRecovery:
             service = make_service()
             port = await started(service)
             try:
-                reader, writer = await upgraded_connection(port)
+                reader, writer, _ = await hello_connection(port)
                 writer.write(
                     frames.HEADER.pack(
                         frames.MAGIC,
@@ -313,7 +354,7 @@ class TestRecovery:
             service = make_service()
             port = await started(service)
             try:
-                reader, writer = await upgraded_connection(port)
+                reader, writer, _ = await hello_connection(port)
                 complete = frames.encode_insert(3, [10, 20, 30])
                 writer.write(complete[:-4])  # half a value, then EOF
                 await writer.drain()
@@ -333,7 +374,7 @@ class TestRecovery:
             service = make_service()
             port = await started(service)
             try:
-                reader, writer = await upgraded_connection(port)
+                reader, writer, _ = await hello_connection(port)
                 payload = struct.pack("<2d", 1.0, float("inf"))
                 writer.write(
                     frames.HEADER.pack(
@@ -357,12 +398,14 @@ class TestRecovery:
 
     def test_oversize_ndjson_line_reports_line_too_long(self):
         async def scenario():
-            service = make_service(max_line_bytes=4096)
+            # One value per insert: the line limit is MAX_LINE_BYTES (1 MiB).
+            service = make_service(max_values_per_insert=1)
+            assert service.config.effective_line_limit() == protocol.MAX_LINE_BYTES
             port = await started(service)
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
                 request = {"op": "insert", "id": 1,
-                           "values": list(range(100000))}
+                           "values": list(range(200000))}
                 writer.write((json.dumps(request) + "\n").encode())
                 await writer.drain()
                 response = json.loads(await reader.readline())
@@ -459,7 +502,7 @@ class TestCrossWireIdentity:
 
         async def drive(wire: str) -> None:
             path = tmp_path / f"{wire}.ckpt"
-            service = make_service(checkpoint_path=str(path), wire="both")
+            service = make_service(checkpoint_path=str(path))
             port = await started(service)
             try:
                 async with QuantileClient(

@@ -21,6 +21,7 @@ from repro.service import (
     QuantileClient,
     QuantileService,
     ServiceConfig,
+    frames,
     protocol,
     run_load,
 )
@@ -288,11 +289,39 @@ class TestDeadlinesAndShedding:
         assert shed_count >= 1
 
 
+async def pipelined_frames(port: int, first: int, count: int):
+    """Write ``count`` 100-value insert frames on a fresh connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    for index in range(first, first + count):
+        writer.write(
+            frames.encode_insert(index, list(range(index * 100, (index + 1) * 100)))
+        )
+    await writer.drain()
+    return reader, writer
+
+
+async def frame_outcomes(reader, writer) -> list:
+    """Every answer until the server closes: ack dicts or ``RequestFailed``."""
+    outcomes = []
+    while True:
+        try:
+            header = await reader.readexactly(frames.HEADER_SIZE)
+        except asyncio.IncompleteReadError:
+            writer.close()
+            return outcomes
+        kind, _, _, length = frames.decode_header(header)
+        payload = await reader.readexactly(length)
+        if kind == frames.KIND_ACK:
+            items, n, _ = frames.ACK_BODY.unpack(payload)
+            outcomes.append({"items": items, "n": n})
+        else:
+            outcomes.append(RequestFailed(*frames.decode_error(payload)))
+
+
 class TestGracefulDrain:
-    def test_drain_flushes_admitted_inserts_before_the_socket_closes(self):
-        async def scenario():
-            service = make_service()
-            port = await started(service)
+    @pytest.mark.parametrize("wire", ["ndjson", "frames"])
+    def test_drain_flushes_admitted_inserts_before_the_socket_closes(self, wire):
+        async def ndjson(service, port):
             clients = [QuantileClient("127.0.0.1", port) for _ in range(4)]
             for client in clients:
                 await client.connect()
@@ -305,7 +334,20 @@ class TestGracefulDrain:
             outcomes = await asyncio.gather(*inserts, return_exceptions=True)
             for client in clients:
                 await client.aclose()
-            return service, outcomes
+            return outcomes
+
+        async def framed(service, port):
+            # Each client pipelines 8 frames before the drain starts.
+            streams = [await pipelined_frames(port, i * 8, 8) for i in range(4)]
+            await service.stop()
+            answers = await asyncio.gather(*(frame_outcomes(*s) for s in streams))
+            return [outcome for answer in answers for outcome in answer]
+
+        async def scenario():
+            service = make_service()
+            port = await started(service)
+            drive = ndjson if wire == "ndjson" else framed
+            return service, await drive(service, port)
 
         service, outcomes = run(scenario())
         acked = sum(
@@ -325,6 +367,9 @@ class TestGracefulDrain:
         assert service.engine.items_ingested == acked
         served = [outcome["n"] for outcome in outcomes if isinstance(outcome, dict)]
         assert max(served, default=0) == acked
+        # Every insert the server read was answered before its socket closed.
+        admitted = service.registry.get("service_requests_total", op="insert")
+        assert len(outcomes) == admitted.value
 
     def test_inserts_after_drain_get_shutting_down(self):
         async def scenario():
