@@ -244,12 +244,16 @@ def encode_int_bucket(values: Sequence[int]) -> tuple[str, object]:
         return MODE_INTS, list(values)
 
 
-def decode_numeric(mode: str, payload) -> list[int]:
-    """Rebuild an int bucket as raw ints (the columnar lane's view)."""
+def decode_numeric(mode: str, payload) -> array | list[int]:
+    """Rebuild an int bucket as raw ints (the columnar lane's view).
+
+    An ``"i64"`` bucket stays one ``array('q')``, which the native kernels
+    read in place.
+    """
     if mode == MODE_I64:
         buffer = array("q")
         buffer.frombytes(payload)
-        return buffer.tolist()
+        return buffer
     if mode == MODE_INTS:
         return list(payload)
     raise ValueError(f"encoding {mode!r} does not carry a numeric bucket")

@@ -1,20 +1,33 @@
 """On-demand-compiled native kernels for the columnar numeric lane.
 
 The columnar lane (docs/model.md, "Lanes") stores raw numeric keys instead
-of :class:`~repro.universe.item.Item` wrappers.  For GK that makes the whole
-insert/compress loop expressible over flat ``int64`` arrays, so this package
-compiles ``gk_kernel.c`` with the system C compiler the first time it is
-needed and drives it through :mod:`ctypes`.  Nothing here is required for
-correctness: every caller treats a ``None`` return as "take the pure-Python
-columnar path", and the kernel itself is an exact port of the sequential
-semantics (state-identical tuples, ``n``, ``since_compress`` and
-``max_item_count``), which the lane-equivalence tests pin down.
+of :class:`~repro.universe.item.Item` wrappers, which makes two summary
+loops expressible over flat ``int64`` arrays:
+
+* ``gk_batch`` (``gk_kernel.c``) — GK's insert/compress loop;
+* ``kll_batch`` (``kll_kernel.c``) — KLL's level-0 fill and compaction
+  cascade, drawing each coin from a port of CPython's Mersenne Twister so
+  the coin stream equals ``random.Random.randrange(2)``'s.
+
+Both sources are compiled into one library with the system C compiler the
+first time either kernel is needed (never at import), and driven through
+:mod:`ctypes`, which releases the GIL for the duration of each call.
+Buffers cross as raw addresses (``array.buffer_info()``): a per-call
+``c_int64 * len`` view would create, and keep for the life of the process,
+one ctypes array type per distinct length.
+
+Nothing here is required for correctness: every caller treats a ``None``
+return as "take the pure-Python columnar path", and each kernel is an exact
+port of the Python semantics (state-identical GK tuples, ``n``,
+``since_compress`` and ``max_item_count``; state-identical KLL compactors,
+``n``, ``max_item_count``, draw count and generator state), which the
+lane-equivalence and kernel tests pin down.
 
 Knobs:
 
 * ``REPRO_NO_NATIVE=1`` — kill switch; never compile or call native code.
 * ``REPRO_NATIVE_CACHE=DIR`` — where compiled objects are cached (default
-  ``$TMPDIR/repro-native``).  The cache key hashes the kernel source and
+  ``$TMPDIR/repro-native``).  The cache key hashes the kernel sources and
   compiler, and the object lands under its final name via an atomic rename,
   so concurrent workers never load a half-written library.
 """
@@ -33,7 +46,9 @@ from pathlib import Path
 DISABLE_ENV = "REPRO_NO_NATIVE"
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 
-_SOURCE = Path(__file__).with_name("gk_kernel.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("gk_kernel.c", "kll_kernel.c")
+)
 #: eps numerator/denominator cap: keeps the kernel's __int128 threshold
 #: product (eps_p * n) well inside range for any guarded n.
 _FRACTION_LIMIT = 1 << 62
@@ -41,7 +56,10 @@ _FRACTION_LIMIT = 1 << 62
 #: shifts) far below int64.
 _COUNT_LIMIT = 1 << 40
 
-_INT64_POINTER = ctypes.POINTER(ctypes.c_int64)
+#: MT19937 words plus the index, as ``random.Random.getstate()[1]`` holds.
+_MT_STATE_LEN = 625
+
+_ADDRESS = ctypes.c_void_p
 
 _lib: ctypes.CDLL | None = None
 _load_failed = False
@@ -67,18 +85,24 @@ def _compile() -> Path | None:
     compiler = _compiler()
     if compiler is None:
         return None
-    source = _SOURCE.read_text()
-    digest = hashlib.sha256(f"{compiler}\n{source}".encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    target = cache / f"gk_kernel-{digest}.so"
-    if target.exists():
-        return target
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, scratch = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
+    # A missing kernel source or an unusable cache directory means no
+    # native code, like a missing compiler: never an error.
+    try:
+        sources = "\n".join(path.read_text() for path in _SOURCES)
+        digest = hashlib.sha256(f"{compiler}\n{sources}".encode()).hexdigest()[:16]
+        cache = _cache_dir()
+        target = cache / f"kernels-{digest}.so"
+        if target.exists():
+            return target
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+    except OSError:
+        return None
     try:
         subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", scratch, str(_SOURCE)],
+            [compiler, "-O2", "-shared", "-fPIC", "-o", scratch]
+            + [str(path) for path in _SOURCES],
             check=True,
             capture_output=True,
             timeout=120,
@@ -107,19 +131,34 @@ def _load() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
         lib.gk_batch.restype = ctypes.c_int64
         lib.gk_batch.argtypes = [
-            _INT64_POINTER,  # vals
-            _INT64_POINTER,  # gs
-            _INT64_POINTER,  # deltas
+            _ADDRESS,  # vals
+            _ADDRESS,  # gs
+            _ADDRESS,  # deltas
             ctypes.c_int64,  # size
-            _INT64_POINTER,  # batch
+            _ADDRESS,  # batch
             ctypes.c_int64,  # batch_len
-            _INT64_POINTER,  # state [n, since_compress, max_item_count]
+            _ADDRESS,  # state [n, since_compress, max_item_count]
             ctypes.c_int64,  # period
             ctypes.c_int64,  # eps_p
             ctypes.c_int64,  # eps_q
             ctypes.c_int32,  # greedy
-            _INT64_POINTER,  # bands scratch
+            _ADDRESS,  # bands scratch
         ]
+        lib.kll_batch.restype = ctypes.c_int64
+        lib.kll_batch.argtypes = [
+            _ADDRESS,  # items, levels back to back
+            _ADDRESS,  # sizes
+            ctypes.c_int64,  # height
+            _ADDRESS,  # batch
+            ctypes.c_int64,  # batch_len
+            _ADDRESS,  # capacities by depth
+            ctypes.c_int64,  # capacities_len
+            _ADDRESS,  # state [n, max_item_count, rng_draws, stored count]
+            _ADDRESS,  # mt: 624 uint32 words + index
+            ctypes.POINTER(_ADDRESS),  # out: malloc'd sizes + items
+        ]
+        lib.kll_free.restype = None
+        lib.kll_free.argtypes = [_ADDRESS]
     except (OSError, AttributeError):
         _load_failed = True
         return None
@@ -127,10 +166,12 @@ def _load() -> ctypes.CDLL | None:
     return _lib
 
 
-def _as_pointer(buffer: array):
-    return ctypes.cast(
-        (ctypes.c_int64 * len(buffer)).from_buffer(buffer), _INT64_POINTER
-    )
+def _address(buffer: array) -> int:
+    """The address of ``buffer``'s storage, passed as a ``void *``.
+
+    The caller keeps ``buffer`` alive (and unresized) across the call.
+    """
+    return buffer.buffer_info()[0]
 
 
 def gk_batch(
@@ -177,18 +218,18 @@ def gk_batch(
     bands = array("q", bytes(8 * len(vals_arr)))
     state = array("q", [n, since_compress, max_item_count])
     new_size = lib.gk_batch(
-        _as_pointer(vals_arr),
-        _as_pointer(g_arr),
-        _as_pointer(d_arr),
+        _address(vals_arr),
+        _address(g_arr),
+        _address(d_arr),
         len(values),
-        _as_pointer(batch_arr),
+        _address(batch_arr),
         len(batch),
-        _as_pointer(state),
+        _address(state),
         period,
         eps_p,
         eps_q,
         1 if greedy else 0,
-        _as_pointer(bands),
+        _address(bands),
     )
     if new_size < 0 or new_size > len(vals_arr):  # pragma: no cover - guard
         return None
@@ -200,3 +241,80 @@ def gk_batch(
         state[1],
         state[2],
     )
+
+
+def _int64_keys(values) -> array | None:
+    """``values`` as an int64 buffer, or ``None`` unless every key is an
+    exact ``int`` (bools and floats excluded) inside int64."""
+    if isinstance(values, array):
+        return values if values.typecode == "q" else None
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return array("q", values)
+    except OverflowError:
+        return None
+
+
+def kll_batch(
+    levels: list,
+    batch,
+    n: int,
+    max_item_count: int,
+    draws: int,
+    capacities: tuple,
+    mt_state: tuple,
+):
+    """Apply ``batch`` to KLL compactor state with the native kernel.
+
+    ``levels`` are the compactors (lists of keys, level 0 first),
+    ``capacities`` KLL's capacity-by-depth table and ``mt_state`` the
+    generator's ``getstate()[1]`` (624 words plus the index).  Returns
+    ``(levels, n, max_item_count, draws, mt_state)`` on success, or
+    ``None`` when the kernel is unavailable or a stored or batch key is not
+    an exact int inside int64 — callers then run the pure-Python path,
+    which is state-identical.
+    """
+    if native_disabled() or not levels:
+        return None
+    lib = _load()
+    if lib is None:
+        return None
+    if n + len(batch) >= _COUNT_LIMIT:
+        return None
+    keys = _int64_keys(batch)
+    items = _int64_keys([key for level in levels for key in level])
+    if keys is None or items is None:
+        return None
+    sizes = array("q", map(len, levels))
+    table = array("q", capacities)
+    state = array("q", [n, max_item_count, draws, 0])
+    mt = array("I", mt_state)
+    if mt.itemsize != 4 or len(mt) != _MT_STATE_LEN:
+        return None
+    out = _ADDRESS()
+    height = lib.kll_batch(
+        _address(items),
+        _address(sizes),
+        len(sizes),
+        _address(keys),
+        len(keys),
+        _address(table),
+        len(table),
+        _address(state),
+        _address(mt),
+        ctypes.byref(out),
+    )
+    if height < 1:  # pragma: no cover - allocation failure
+        return None
+    try:
+        block = array("q")
+        block.frombytes(ctypes.string_at(out.value, 8 * (height + state[3])))
+    finally:
+        lib.kll_free(out)
+    new_levels = []
+    position = height
+    for size in block[:height]:
+        new_levels.append(block[position : position + size].tolist())
+        position += size
+    return new_levels, state[0], state[1], state[2], tuple(mt)

@@ -219,6 +219,10 @@ class QuantileService:
         self._ingest_task: asyncio.Task | None = None
         #: Each live connection's writer and its queue of admitted requests.
         self._connections: dict[asyncio.StreamWriter, asyncio.Queue] = {}
+        #: The connection handler tasks, which stop() waits out.
+        self._handlers: set[asyncio.Task] = set()
+        #: Futures of admitted inserts that no flush has answered yet.
+        self._unflushed: set[asyncio.Future] = set()
         self._draining = False
         self._stopped = False
 
@@ -324,9 +328,14 @@ class QuantileService:
            closed engine;
         4. checkpoint the engine if configured, then close it (releasing
            any shard-worker processes);
-        5. close remaining client sockets.
+        5. close remaining client sockets and wait for every connection
+           handler to unwind, so none is left for the loop's teardown to
+           cancel; one still running after ``drain_timeout_s`` more is
+           cancelled.
 
-        Steps 2 and 3 share one ``drain_timeout_s`` budget.
+        Steps 2 and 3 share one ``drain_timeout_s`` budget.  If the ingest
+        loop misses it, every admitted insert it did not flush answers
+        ``shutting_down``.
         """
         if self._stopped:
             return
@@ -344,6 +353,14 @@ class QuantileService:
                 )
             except asyncio.TimeoutError:
                 self._ingest_task.cancel()
+                for future in list(self._unflushed):
+                    self._count_shed("shutdown")
+                    future.set_exception(
+                        _Shed(
+                            protocol.ERR_SHUTTING_DOWN,
+                            "service drained before this insert was flushed",
+                        )
+                    )
         answered = asyncio.gather(
             *(queue.join() for queue in self._connections.values())
         )
@@ -356,6 +373,14 @@ class QuantileService:
         self.engine.close()
         for writer in list(self._connections):
             writer.close()
+        if self._handlers:
+            _, stuck = await asyncio.wait(
+                list(self._handlers), timeout=self.config.drain_timeout_s
+            )
+            for handler in stuck:
+                handler.cancel()
+            if stuck:
+                await asyncio.wait(stuck)
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -441,6 +466,8 @@ class QuantileService:
         interleave freely; because a line is answered only after every
         insert admitted before it, read-your-writes holds on both wires.
         """
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         queue: asyncio.Queue = asyncio.Queue(maxsize=WINDOW)
         self._connections[writer] = queue
         self._open_connections.set(len(self._connections))
@@ -448,25 +475,25 @@ class QuantileService:
             self._respond(queue, writer), name="service-responder"
         )
         try:
-            first = True
-            while await self._read_request(reader, writer, queue, first):
-                first = False
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
             try:
-                await queue.put(None)
-                await responder
+                first = True
+                while await self._read_request(reader, writer, queue, first):
+                    first = False
             except (ConnectionResetError, BrokenPipeError):
                 pass
-            except asyncio.CancelledError:
-                # Torn down mid-drain (loop shutdown): never leak the task.
-                responder.cancel()
-                raise
-            finally:
-                del self._connections[writer]
-                self._open_connections.set(len(self._connections))
-                writer.close()
+            await queue.put(None)
+            await responder
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        except asyncio.CancelledError:
+            # Torn down mid-drain (loop shutdown): never leak the task.
+            responder.cancel()
+            raise
+        finally:
+            self._handlers.discard(handler)
+            del self._connections[writer]
+            self._open_connections.set(len(self._connections))
+            writer.close()
 
     async def _read_request(self, reader, writer, queue, first: bool) -> bool:
         """Admit one frame or line into the response queue; False to close.
@@ -755,6 +782,8 @@ class QuantileService:
                 f"ingest queue is full ({self.config.max_queue_jobs} jobs); "
                 "retry with backoff",
             )
+        self._unflushed.add(job.future)
+        job.future.add_done_callback(self._unflushed.discard)
         self._queue_depth.set(self._queue.depth)
         return job
 

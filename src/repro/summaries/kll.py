@@ -20,6 +20,7 @@ exploits that to run the deterministic adversary against seeded KLL.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -29,6 +30,7 @@ from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, index_from_weighted_items
 from repro.model.registry import merge_by_absorbing, register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
+from repro.native import kll_batch as native_kll_batch, native_disabled
 from repro.persistence import (
     decode_key,
     encode_key,
@@ -41,6 +43,10 @@ from repro.universe.universe import Universe
 
 _CAPACITY_DECAY = 2.0 / 3.0
 _MINIMUM_CAPACITY = 2
+#: Shorter columnar batches stay in Python: each native call moves the
+#: stored keys and the 625-word generator state in and out (some 50 µs plus
+#: 70 ns per stored key), which the kernel wins back only on longer batches.
+_NATIVE_MIN_BATCH = 256
 
 
 def kll_k_for(epsilon: float, delta: float) -> int:
@@ -182,15 +188,19 @@ class KLL(QuantileSummary):
     # -- the columnar lane ---------------------------------------------------------
 
     def process_numeric(self, values) -> None:
-        """Columnar ingest: raw numeric keys ride the existing batch kernel.
+        """Columnar ingest: raw numeric keys, compacted natively when possible.
 
         Compaction only sorts and slices, so raw keys make the hottest step
-        (the level sort) a C-speed primitive sort instead of Item-dunder
-        dispatch, with the identical coin-flip schedule; the final state is
-        equivalent to the items lane.  A summary with live comparison-model
-        state stays in the items lane.  Buffer-backed batches
-        (``array('q')``) are consumed as-is — the kernel only slices and
-        reads.
+        (the level sort) a primitive sort instead of Item-dunder dispatch,
+        with the identical coin-flip schedule; the final state is
+        equivalent to the items lane.  When every stored and batch key is
+        an exact int inside int64, batches of at least
+        :data:`_NATIVE_MIN_BATCH` values run :meth:`_process_batch`'s
+        schedule in the native kernel (:mod:`repro.native`) with CPython's
+        exact coins; otherwise, or when native code is off or unavailable,
+        the Python kernel runs.  A summary with live comparison-model state
+        stays in the items lane.  Buffer-backed batches (``array('q')``)
+        are consumed as-is — both kernels only slice and read.
         """
         batch = values if isinstance(values, (list, array)) else list(values)
         if not batch:
@@ -199,7 +209,33 @@ class KLL(QuantileSummary):
             super().process_numeric(batch)
             return
         self._lane = "columnar"
+        if (
+            len(batch) >= _NATIVE_MIN_BATCH
+            and native_kernel_active()
+            and self._native_batch(batch)
+        ):
+            return
         self._process_batch(batch)
+
+    def _native_batch(self, batch) -> bool:
+        """Run the batch through the native compactor; False to fall back."""
+        version, words, gauss = self._rng.getstate()
+        result = native_kll_batch(
+            self._compactors,
+            batch,
+            self._n,
+            self._max_item_count,
+            self._rng_draws,
+            self._capacities,
+            words,
+        )
+        if result is None:
+            return False
+        self._compactors, self._n, self._max_item_count, draws, words = result
+        if draws != self._rng_draws:
+            self._rng.setstate((version, words, gauss))
+            self._rng_draws = draws
+        return True
 
     def _demote_items(self) -> None:
         """Rebuild raw columnar keys as Items (representation-only)."""
@@ -320,6 +356,42 @@ class KLL(QuantileSummary):
     def fingerprint(self) -> tuple:
         sizes = tuple(len(compactor) for compactor in self._compactors)
         return (self.name, self._n, self.k, self.seed, sizes)
+
+
+def native_kernel_active() -> bool:
+    """Whether :meth:`KLL.process_numeric` may run the native compactor.
+
+    False under ``REPRO_NO_NATIVE``, without a C compiler, or when the
+    one-time probe finds the kernel's state (its coins included) differing
+    from the Python kernel's, so a broken port costs speed, never answers.
+    """
+    return not native_disabled() and _native_matches_python()
+
+
+@functools.cache
+def _native_matches_python() -> bool:
+    """Run the kernel and :meth:`KLL._process_batch` on one seeded stream.
+
+    With k = 3, 1,500 values compact about 1,500 times and take some 3,000
+    Mersenne Twister outputs, so randrange(2)'s redraws and four
+    regenerations of the 624-word state are covered; the uneven chunks
+    move the generator state in and out four times.  The coins are what
+    depends on the running CPython; the tests cover the rest of the port.
+    """
+    values = [(index * 7919) % 1009 - 504 for index in range(1500)]
+    reference = KLL(0.5, k=3, seed=2020)
+    reference._process_batch(values)
+    native = KLL(0.5, k=3, seed=2020)
+    for start, stop in ((0, 1), (1, 3), (3, 700), (700, 1500)):
+        if not native._native_batch(values[start:stop]):
+            return False
+    return (
+        native._compactors == reference._compactors
+        and native._n == reference._n
+        and native._max_item_count == reference._max_item_count
+        and native._rng_draws == reference._rng_draws
+        and native._rng.getstate() == reference._rng.getstate()
+    )
 
 
 def _compile_kll_index(summary: KLL) -> RankIndex:

@@ -8,6 +8,7 @@ format 0.0.4.
 """
 
 import asyncio
+import logging
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -318,6 +319,24 @@ async def frame_outcomes(reader, writer) -> list:
             outcomes.append(RequestFailed(*frames.decode_error(payload)))
 
 
+def admitted_inserts(service: QuantileService) -> int:
+    counter = service.registry.get("service_requests_total", op="insert")
+    return 0 if counter is None else counter.value
+
+
+async def until_admitted(service: QuantileService, count: int) -> None:
+    while admitted_inserts(service) < count:
+        await asyncio.sleep(0.001)
+
+
+def error_records(caplog) -> list:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.levelno >= logging.ERROR
+    ]
+
+
 class TestGracefulDrain:
     @pytest.mark.parametrize("wire", ["ndjson", "frames"])
     def test_drain_flushes_admitted_inserts_before_the_socket_closes(self, wire):
@@ -325,11 +344,17 @@ class TestGracefulDrain:
             clients = [QuantileClient("127.0.0.1", port) for _ in range(4)]
             for client in clients:
                 await client.connect()
-            inserts = [
-                asyncio.create_task(client.insert(list(range(i * 100, (i + 1) * 100))))
-                for i, client in enumerate(clients)
-            ]
-            await asyncio.sleep(0)  # let the inserts hit the queue
+            inserts = []
+            for i, client in enumerate(clients):
+                values = list(range(i * 100, (i + 1) * 100))
+                inserts.append(asyncio.create_task(client.insert(values)))
+                if i == 0:
+                    # The consumer takes the first insert alone and lingers.
+                    await until_admitted(service, 1)
+                    await asyncio.sleep(0.01)
+            await until_admitted(service, 4)
+            # All four are admitted and none is flushed: the drain must.
+            assert service.engine.items_ingested == 0
             await service.stop()
             outcomes = await asyncio.gather(*inserts, return_exceptions=True)
             for client in clients:
@@ -344,10 +369,12 @@ class TestGracefulDrain:
             return [outcome for answer in answers for outcome in answer]
 
         async def scenario():
-            service = make_service()
+            if wire == "ndjson":
+                service, drive = make_service(linger_ms=1000), ndjson
+            else:
+                service, drive = make_service(), framed
             port = await started(service)
-            drive = ndjson if wire == "ndjson" else framed
-            return service, await drive(service, port)
+            return service, await asyncio.wait_for(drive(service, port), 20)
 
         service, outcomes = run(scenario())
         acked = sum(
@@ -355,6 +382,7 @@ class TestGracefulDrain:
             for outcome in outcomes
             if isinstance(outcome, dict)
         )
+        assert acked > 0
         explicit_errors = [
             outcome
             for outcome in outcomes
@@ -370,6 +398,61 @@ class TestGracefulDrain:
         # Every insert the server read was answered before its socket closed.
         admitted = service.registry.get("service_requests_total", op="insert")
         assert len(outcomes) == admitted.value
+
+    def test_stop_unwinds_every_connection_without_error_logs(self, caplog):
+        async def scenario():
+            service = make_service()
+            port = await started(service)
+            client = QuantileClient("127.0.0.1", port)
+            await client.connect()
+            await client.insert([1, 2, 3])
+            reader, writer = await pipelined_frames(port, 0, 4)
+            await service.stop()
+            # asyncio.run ends right here: no handler may still be running.
+            await client.aclose()
+            writer.close()
+            return service
+
+        with caplog.at_level(logging.ERROR):
+            service = run(scenario())
+        assert error_records(caplog) == []
+        assert not service._connections
+
+    @pytest.mark.parametrize("stall", ["wedged-queue", "long-linger"])
+    def test_drain_timeout_answers_unflushed_inserts(self, stall, caplog):
+        async def scenario():
+            if stall == "wedged-queue":
+                # The consumer never takes the admitted jobs.
+                service = make_service(drain_timeout_s=0.2)
+
+                async def never_consume(*args, **kwargs):
+                    await asyncio.Event().wait()
+
+                service._queue.get_batch = never_consume
+            else:
+                # The consumer holds the jobs past the drain budget.
+                service = make_service(drain_timeout_s=0.2, linger_ms=60_000)
+            port = await started(service)
+            clients = [QuantileClient("127.0.0.1", port) for _ in range(2)]
+            for client in clients:
+                await client.connect()
+            inserts = []
+            for index, client in enumerate(clients):
+                # One at a time: a lingering consumer holds the first job
+                # in its batch while the second waits in the queue.
+                inserts.append(asyncio.create_task(client.insert([index])))
+                await until_admitted(service, index + 1)
+                await asyncio.sleep(0.01)
+            await service.stop()
+            outcomes = await asyncio.gather(*inserts, return_exceptions=True)
+            for client in clients:
+                await client.aclose()
+            return outcomes
+
+        with caplog.at_level(logging.ERROR):
+            outcomes = run(scenario())
+        assert [error.code for error in outcomes] == [protocol.ERR_SHUTTING_DOWN] * 2
+        assert error_records(caplog) == []
 
     def test_inserts_after_drain_get_shutting_down(self):
         async def scenario():
