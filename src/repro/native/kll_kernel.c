@@ -77,8 +77,6 @@ typedef struct {
     int64_t room;
     const int64_t *capacities;
     int64_t capacities_len;
-    int64_t *scratch;
-    int64_t scratch_room;
     mt_state mt;
     int64_t draws;
 } kll_t;
@@ -125,7 +123,18 @@ static int add_level(kll_t *s) {
     return 0;
 }
 
-static void insertion_sort(int64_t *a, int64_t n) {
+static int compare_keys(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Deep in a stream level 0 holds two or three keys and compacts about once
+ * per value, so short levels sort inline: a qsort call costs more. */
+static void sort_keys(int64_t *a, int64_t n) {
+    if (n > 16) {
+        qsort(a, (size_t)n, sizeof(int64_t), compare_keys);
+        return;
+    }
     for (int64_t i = 1; i < n; i++) {
         int64_t v = a[i];
         int64_t j = i;
@@ -137,38 +146,11 @@ static void insertion_sort(int64_t *a, int64_t n) {
     }
 }
 
-/* Top-down merge sort; tmp holds at least n / 2 values.  Levels above 0
- * are concatenations of sorted promotions, so ordered halves are common
- * and skip their merge. */
-static void merge_sort(int64_t *a, int64_t *tmp, int64_t n) {
-    if (n <= 24) {
-        insertion_sort(a, n);
-        return;
-    }
-    int64_t half = n / 2;
-    merge_sort(a, tmp, half);
-    merge_sort(a + half, tmp, n - half);
-    if (a[half - 1] <= a[half]) {
-        return;
-    }
-    memcpy(tmp, a, (size_t)half * sizeof(int64_t));
-    int64_t i = 0, j = half, k = 0;
-    while (i < half && j < n) {
-        a[k++] = tmp[i] <= a[j] ? tmp[i++] : a[j++];
-    }
-    while (i < half) {
-        a[k++] = tmp[i++];
-    }
-}
-
 /* KLL._compact: sort, keep the smallest item behind when the size is odd,
  * promote every other item of the rest from a coin-chosen offset. */
 static int compact(kll_t *s, int64_t level) {
     int64_t size = s->levels[level].size;
-    if (reserve(&s->scratch, &s->scratch_room, size / 2 + 1) < 0) {
-        return -1;
-    }
-    merge_sort(s->levels[level].data, s->scratch, size);
+    sort_keys(s->levels[level].data, size);
     int64_t first = size & 1;
     int64_t offset = coin(&s->mt);
     s->draws += 1;
@@ -275,7 +257,6 @@ static void release(kll_t *s) {
         free(s->levels[h].data);
     }
     free(s->levels);
-    free(s->scratch);
 }
 
 /* Apply a batch of int64 keys to KLL compactor state.

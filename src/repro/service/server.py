@@ -80,6 +80,10 @@ METRICS_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 #: Requests one connection may have admitted but not yet answered; past
 #: this the reader stops reading and the TCP socket pushes back.
 WINDOW = 32
+#: How long stop() gives connection handlers to return once their sockets
+#: close, past the drain budget, and again after aborting the sockets of
+#: peers that stopped reading.
+UNWIND_S = 0.5
 
 
 @dataclass
@@ -329,13 +333,14 @@ class QuantileService:
         4. checkpoint the engine if configured, then close it (releasing
            any shard-worker processes);
         5. close remaining client sockets and wait for every connection
-           handler to unwind, so none is left for the loop's teardown to
-           cancel; one still running after ``drain_timeout_s`` more is
-           cancelled.
+           handler to return, so none is left for the loop's teardown to
+           cancel (:meth:`_unwind_handlers`).
 
-        Steps 2 and 3 share one ``drain_timeout_s`` budget.  If the ingest
-        loop misses it, every admitted insert it did not flush answers
-        ``shutting_down``.
+        Steps 2, 3 and 5 share one ``drain_timeout_s`` budget; step 5 gets
+        at least :data:`UNWIND_S` of it, and :data:`UNWIND_S` more once it
+        aborts the sockets of peers that stopped reading.  If the ingest
+        loop misses the budget, every admitted insert it did not flush
+        answers ``shutting_down``.
         """
         if self._stopped:
             return
@@ -373,16 +378,31 @@ class QuantileService:
         self.engine.close()
         for writer in list(self._connections):
             writer.close()
-        if self._handlers:
-            _, stuck = await asyncio.wait(
-                list(self._handlers), timeout=self.config.drain_timeout_s
-            )
-            for handler in stuck:
-                handler.cancel()
-            if stuck:
-                await asyncio.wait(stuck)
+        await self._unwind_handlers(max(UNWIND_S, deadline - loop.time()))
         if self._server is not None:
             await self._server.wait_closed()
+
+    async def _unwind_handlers(self, timeout: float) -> None:
+        """Wait for every connection handler to return after its socket closed.
+
+        A closed socket first flushes what it holds, and only then does its
+        handler read EOF; a peer that stopped reading never lets it flush.
+        Sockets still open after ``timeout`` are aborted, unflushed, which
+        ends their reads and their pending writes (:meth:`_respond` then
+        answers nothing more).  A handler still running :data:`UNWIND_S`
+        later is cancelled.
+        """
+        if not self._handlers:
+            return
+        _, stuck = await asyncio.wait(list(self._handlers), timeout=timeout)
+        if stuck:
+            for writer in list(self._connections):
+                writer.transport.abort()
+            _, stuck = await asyncio.wait(stuck, timeout=UNWIND_S)
+        for handler in stuck:
+            handler.cancel()
+        if stuck:
+            await asyncio.wait(stuck)
 
     async def serve_until(self, stop_event: asyncio.Event) -> None:
         """Run until ``stop_event`` fires, then drain gracefully."""
@@ -600,7 +620,13 @@ class QuantileService:
         )
 
     async def _respond(self, queue: asyncio.Queue, writer) -> None:
-        """Answer admitted requests strictly in admission order."""
+        """Answer admitted requests strictly in admission order.
+
+        Once the socket is closing (the peer reset it, or stop() closed it
+        after the drain), no answer reaches the peer: lines still queued
+        are skipped, so none reads an engine stop() has closed, and
+        nothing more is written (:meth:`_write`).
+        """
         while True:
             item = await queue.get()
             if item is None:
@@ -608,7 +634,8 @@ class QuantileService:
                 return
             tag = item[0]
             if tag == "line":
-                await self._handle_line(item[1], writer)
+                if not writer.transport.is_closing():
+                    await self._handle_line(item[1], writer)
             elif tag == "error":  # refused at admission, already encoded
                 self._count_response(item[2])
                 await self._write(writer, item[1])
@@ -657,6 +684,8 @@ class QuantileService:
         await self._write(writer, protocol.encode_line(record))
 
     async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
+        if writer.transport.is_closing():
+            return
         writer.write(data)
         try:
             await writer.drain()

@@ -43,10 +43,6 @@ from repro.universe.universe import Universe
 
 _CAPACITY_DECAY = 2.0 / 3.0
 _MINIMUM_CAPACITY = 2
-#: Shorter columnar batches stay in Python: each native call moves the
-#: stored keys and the 625-word generator state in and out (some 50 µs plus
-#: 70 ns per stored key), which the kernel wins back only on longer batches.
-_NATIVE_MIN_BATCH = 256
 
 
 def kll_k_for(epsilon: float, delta: float) -> int:
@@ -194,11 +190,10 @@ class KLL(QuantileSummary):
         (the level sort) a primitive sort instead of Item-dunder dispatch,
         with the identical coin-flip schedule; the final state is
         equivalent to the items lane.  When every stored and batch key is
-        an exact int inside int64, batches of at least
-        :data:`_NATIVE_MIN_BATCH` values run :meth:`_process_batch`'s
-        schedule in the native kernel (:mod:`repro.native`) with CPython's
-        exact coins; otherwise, or when native code is off or unavailable,
-        the Python kernel runs.  A summary with live comparison-model state
+        an exact int inside int64, :meth:`_process_batch`'s schedule runs
+        in the native kernel (:mod:`repro.native`) with CPython's exact
+        coins; otherwise, or when native code is off or unavailable, the
+        Python kernel runs.  A summary with live comparison-model state
         stays in the items lane.  Buffer-backed batches (``array('q')``)
         are consumed as-is — both kernels only slice and read.
         """
@@ -209,11 +204,7 @@ class KLL(QuantileSummary):
             super().process_numeric(batch)
             return
         self._lane = "columnar"
-        if (
-            len(batch) >= _NATIVE_MIN_BATCH
-            and native_kernel_active()
-            and self._native_batch(batch)
-        ):
+        if native_kernel_active() and self._native_batch(batch):
             return
         self._process_batch(batch)
 

@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.summaries.kll as kll_module
 from repro import native
 from repro.core.adversary import build_adversarial_pair
 from repro.summaries.kll import KLL, native_kernel_active
@@ -65,13 +64,14 @@ def test_kernel_is_active_wherever_a_compiler_exists(monkeypatch):
     assert native_kernel_active()
 
     def python_kernel(self, batch):
-        raise AssertionError("a long int64 batch took the Python kernel")
+        raise AssertionError("an int64 batch took the Python kernel")
 
     monkeypatch.setattr(KLL, "_process_batch", python_kernel)
     summary = KLL(0.01, seed=3)
     summary.process_numeric(array("q", range(5000, 0, -1)))
-    summary.process_numeric(list(range(kll_module._NATIVE_MIN_BATCH)))
-    assert summary.n == 5000 + kll_module._NATIVE_MIN_BATCH
+    summary.process_numeric([7])
+    summary.process_numeric(list(range(300)))
+    assert summary.n == 5301
     assert summary._rng_draws > 0
 
 
@@ -188,7 +188,6 @@ def test_adversarial_streams_replay_to_the_item_path_state(
         if native.native_disabled() or native._compiler() is None:
             pytest.skip("native kernels are switched off or there is no C compiler")
         assert native_kernel_active()
-        monkeypatch.setattr(kll_module, "_NATIVE_MIN_BATCH", 1)
     else:
         monkeypatch.setenv(native.DISABLE_ENV, "1")
     pair = result.pair

@@ -10,6 +10,7 @@ format 0.0.4.
 import asyncio
 import logging
 import re
+import socket
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from repro.service import (
     protocol,
     run_load,
 )
+from repro.service.server import UNWIND_S
 
 EPSILON = 0.02
 
@@ -417,6 +419,54 @@ class TestGracefulDrain:
             service = run(scenario())
         assert error_records(caplog) == []
         assert not service._connections
+
+    def test_a_peer_that_stops_reading_cannot_stretch_the_drain(self, caplog):
+        """A client that sends reads but never reads the answers wedges its
+        socket; stop() aborts it once the drain budget is spent, instead of
+        waiting out a second budget and cancelling its handler."""
+
+        def wedged(service: QuantileService) -> bool:
+            return any(
+                writer.transport.get_write_buffer_size()
+                > writer.transport.get_write_buffer_limits()[1]
+                for writer in service._connections
+            )
+
+        async def scenario():
+            service = make_service(drain_timeout_s=2.0)
+            port = await started(service)
+            client = QuantileClient("127.0.0.1", port)
+            await client.connect()
+            await client.insert(list(range(1000)))
+            await client.aclose()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await loop.sock_connect(sock, ("127.0.0.1", port))
+            # Each answer is ~100 KB: together far past every socket buffer.
+            phis = [step / 2000 for step in range(2000)]
+            reads = b"".join(
+                protocol.encode_line({"op": "query", "id": i, "phis": phis})
+                for i in range(100)
+            )
+            sender = asyncio.create_task(loop.sock_sendall(sock, reads))
+            while not wedged(service):
+                await asyncio.sleep(0.01)
+            began = loop.time()
+            await service.stop()
+            elapsed = loop.time() - began
+            sender.cancel()
+            sock.close()
+            return service, elapsed
+
+        with caplog.at_level(logging.ERROR):
+            service, elapsed = run(asyncio.wait_for(scenario(), 30))
+        assert error_records(caplog) == []
+        assert not service._connections
+        # The budget, the unwind floor and the post-abort wait, with slack;
+        # a second full budget would take twice drain_timeout_s.
+        assert elapsed < service.config.drain_timeout_s + 2 * UNWIND_S + 0.5
 
     @pytest.mark.parametrize("stall", ["wedged-queue", "long-linger"])
     def test_drain_timeout_answers_unflushed_inserts(self, stall, caplog):
