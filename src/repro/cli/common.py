@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from repro.engine import EXECUTORS, EngineConfig
+from repro.model.registry import mergeable_summaries
 from repro.obs import MetricRegistry
 
 
@@ -37,3 +40,45 @@ def write_metrics(path: str, registry: MetricRegistry) -> None:
     with open(path, "w") as handle:
         json.dump(registry.to_payload(), handle)
         handle.write("\n")
+
+
+def add_engine_options(parser) -> None:
+    """Declare the engine flags on ``parser`` (a parser or argument group).
+
+    ``--batch-size`` stays with each command, next to its other batching
+    options; :func:`engine_config` reads it from there.
+    """
+    parser.add_argument(
+        "--summary",
+        default="gk",
+        choices=mergeable_summaries(),
+        help="per-shard summary type (must be mergeable)",
+    )
+    parser.add_argument("--epsilon", type=float, default=0.01)
+    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker count for the thread/processes executors",
+    )
+    parser.add_argument(
+        "--executor",
+        default="serial",
+        choices=EXECUTORS,
+        help="processes = supervised worker processes own the shards",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The :class:`EngineConfig` the flags of :func:`add_engine_options` name."""
+    return EngineConfig(
+        summary=args.summary,
+        epsilon=args.epsilon,
+        shards=args.shards,
+        workers=args.workers,
+        executor=args.executor,
+        seed=args.seed,
+        batch_size=args.batch_size,
+    )

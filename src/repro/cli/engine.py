@@ -8,9 +8,13 @@ import json
 import sys
 from typing import Iterable, TextIO
 
-from repro.cli.common import generated_values, parse_values
-from repro.engine import EXECUTORS, EngineConfig, ShardedQuantileEngine
-from repro.model.registry import mergeable_summaries
+from repro.cli.common import (
+    add_engine_options,
+    engine_config,
+    generated_values,
+    parse_values,
+)
+from repro.engine import ShardedQuantileEngine
 from repro.obs import trace_to
 
 
@@ -25,20 +29,6 @@ def engine_values(args: argparse.Namespace) -> Iterable:
             raise SystemExit(f"--generate must be positive, got {args.generate}")
         return generated_values(args.generate, args.seed)
     return parse_values(sys.stdin)
-
-
-def engine_config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        summary=args.summary,
-        epsilon=args.epsilon,
-        shards=args.shards,
-        workers=args.workers,
-        executor=args.executor,
-        routing=args.routing,
-        merge_strategy=args.merge_strategy,
-        seed=args.seed,
-        batch_size=args.batch_size,
-    )
 
 
 def cmd_engine_ingest(args: argparse.Namespace, out: TextIO) -> int:
@@ -73,8 +63,7 @@ def cmd_engine_query(args: argparse.Namespace, out: TextIO) -> int:
     with ShardedQuantileEngine.restore(args.checkpoint) as engine:
         print(
             f"n = {engine.items_ingested}, summary = {engine.config.summary}, "
-            f"shards = {engine.config.shards}, "
-            f"merge = {engine.config.merge_strategy}",
+            f"shards = {engine.config.shards}",
             file=out,
         )
         # Batched reads: one compiled-index pass per list instead of a
@@ -158,31 +147,7 @@ def add_parsers(subparsers) -> None:
         action="store_true",
         help="continue from the existing checkpoint instead of starting fresh",
     )
-    ingest.add_argument(
-        "--summary",
-        default="gk",
-        choices=mergeable_summaries(),
-        help="per-shard summary type (must be mergeable)",
-    )
-    ingest.add_argument("--epsilon", type=float, default=0.01)
-    ingest.add_argument("--shards", type=int, default=4)
-    ingest.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count for the thread/processes executors",
-    )
-    ingest.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTORS,
-        help="processes = supervised worker processes own the shards",
-    )
-    ingest.add_argument("--routing", default="hash", choices=("hash", "round-robin"))
-    ingest.add_argument(
-        "--merge-strategy", default="balanced", choices=("balanced", "left")
-    )
-    ingest.add_argument("--seed", type=int, default=0)
+    add_engine_options(ingest)
     ingest.add_argument("--batch-size", type=int, default=4096)
     ingest.add_argument("--input", help="file of numbers (default: stdin)")
     ingest.add_argument(

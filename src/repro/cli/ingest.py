@@ -33,7 +33,7 @@ import signal
 from pathlib import Path
 from typing import TextIO
 
-from repro.cli.common import write_metrics
+from repro.cli.common import add_engine_options, engine_config, write_metrics
 from repro.connectors import (
     DeadLetterQueue,
     DirectorySource,
@@ -46,7 +46,7 @@ from repro.connectors import (
     open_source,
     run_preflight,
 )
-from repro.engine import EXECUTORS, ShardedQuantileEngine
+from repro.engine import ShardedQuantileEngine
 from repro.errors import ConnectorError
 from repro.obs import MetricRegistry, trace_to
 
@@ -99,8 +99,6 @@ def build_sink(args: argparse.Namespace):
     if args.checkpoint is not None:
         if args.resume and Path(args.checkpoint).exists():
             return EngineSink.restore(args.checkpoint)
-        from repro.cli.engine import engine_config
-
         engine = ShardedQuantileEngine(engine_config(args))
         return EngineSink(engine, args.checkpoint), OffsetStore()
     host, _, port_text = args.connect.partition(":")
@@ -247,8 +245,6 @@ def _print_preflight(report, args, out: TextIO) -> int:
 
 
 def add_parsers(subparsers) -> None:
-    from repro.model.registry import mergeable_summaries
-
     ingest = subparsers.add_parser(
         "ingest",
         help="drain durable sources into the engine or a service "
@@ -359,21 +355,7 @@ def add_parsers(subparsers) -> None:
         help="records per source a --preflight parse-checks",
     )
 
-    engine_opts = ingest.add_argument_group("engine mode options")
-    engine_opts.add_argument(
-        "--summary", default="gk", choices=mergeable_summaries()
-    )
-    engine_opts.add_argument("--epsilon", type=float, default=0.01)
-    engine_opts.add_argument("--shards", type=int, default=4)
-    engine_opts.add_argument("--workers", type=int, default=1)
-    engine_opts.add_argument("--executor", default="serial", choices=EXECUTORS)
-    engine_opts.add_argument(
-        "--routing", default="hash", choices=("hash", "round-robin")
-    )
-    engine_opts.add_argument(
-        "--merge-strategy", default="balanced", choices=("balanced", "left")
-    )
-    engine_opts.add_argument("--seed", type=int, default=0)
+    add_engine_options(ingest.add_argument_group("engine mode options"))
 
     observability = ingest.add_argument_group("observability")
     observability.add_argument(

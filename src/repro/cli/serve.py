@@ -10,11 +10,9 @@ import signal
 from pathlib import Path
 from typing import TextIO
 
-from repro.cli.common import generated_values
-from repro.cli.engine import engine_config
+from repro.cli.common import add_engine_options, engine_config, generated_values
 from repro.cli.quantiles import parse_phis
-from repro.engine import EXECUTORS, ShardedQuantileEngine
-from repro.model.registry import mergeable_summaries
+from repro.engine import ShardedQuantileEngine
 from repro.obs import trace_to
 from repro.service import (
     LoadConfig,
@@ -189,31 +187,7 @@ def add_parsers(subparsers) -> None:
     serve.add_argument(
         "--port", type=int, default=9421, help="0 binds an ephemeral port"
     )
-    serve.add_argument(
-        "--summary",
-        default="gk",
-        choices=mergeable_summaries(),
-        help="per-shard summary type (must be mergeable)",
-    )
-    serve.add_argument("--epsilon", type=float, default=0.01)
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker count for the thread/processes executors",
-    )
-    serve.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTORS,
-        help="processes = supervised worker processes own the shards",
-    )
-    serve.add_argument("--routing", default="hash", choices=("hash", "round-robin"))
-    serve.add_argument(
-        "--merge-strategy", default="balanced", choices=("balanced", "left")
-    )
-    serve.add_argument("--seed", type=int, default=0)
+    add_engine_options(serve)
     serve.add_argument("--batch-size", type=int, default=4096)
     serve.add_argument(
         "--max-queue-jobs",

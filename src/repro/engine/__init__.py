@@ -12,15 +12,10 @@ from repro.engine.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.engine.config import (
-    EXECUTORS,
-    MERGE_STRATEGIES,
-    ROUTINGS,
-    EngineConfig,
-)
+from repro.engine.config import EXECUTORS, EngineConfig
 from repro.engine.engine import IngestReport, ShardedQuantileEngine, as_fraction
-from repro.engine.merge_tree import fold_balanced, fold_left, fold_shards
-from repro.engine.routing import route_batch, shard_of
+from repro.engine.merge_tree import fold_shards
+from repro.engine.routing import route_batch
 from repro.engine.telemetry import Telemetry
 from repro.engine.workers import (
     ProcessPoolExecutor,
@@ -36,9 +31,7 @@ __all__ = [
     "EXECUTORS",
     "EngineConfig",
     "IngestReport",
-    "MERGE_STRATEGIES",
     "ProcessPoolExecutor",
-    "ROUTINGS",
     "SerialExecutor",
     "ShardExecutor",
     "ShardedQuantileEngine",
@@ -47,11 +40,8 @@ __all__ = [
     "as_fraction",
     "create_executor",
     "executor_kinds",
-    "fold_balanced",
-    "fold_left",
     "fold_shards",
     "read_checkpoint",
     "route_batch",
-    "shard_of",
     "write_checkpoint",
 ]

@@ -27,8 +27,6 @@ from repro.model.registry import (
 )
 
 EXECUTORS = ("serial", "thread", "processes")
-ROUTINGS = ("hash", "round-robin")
-MERGE_STRATEGIES = ("balanced", "left")
 
 CONFIG_FORMAT = 1
 
@@ -60,14 +58,6 @@ class EngineConfig:
         processes *own* disjoint shard subsets and stream batches through
         codec IPC — real parallelism, bit-identical to ``serial``; see
         :mod:`repro.engine.workers`).
-    routing:
-        ``hash`` (value-hashed, same value always lands on the same shard) or
-        ``round-robin`` (arrival-index modulo shards).  Both are
-        deterministic, so re-running an ingest reproduces shard states bit
-        for bit.
-    merge_strategy:
-        ``balanced`` (pairwise tree fold) or ``left`` (sequential fold) for
-        answering global queries.
     seed:
         Base seed; shard ``i`` gets ``seed + i`` when the summary type is
         seedable, so shards draw independent (but reproducible) randomness.
@@ -83,8 +73,6 @@ class EngineConfig:
     shards: int = 4
     workers: int = 1
     executor: str = "serial"
-    routing: str = "hash"
-    merge_strategy: str = "balanced"
     seed: int = 0
     batch_size: int = 4096
     summary_kwargs: dict = field(default_factory=dict)
@@ -125,16 +113,6 @@ class EngineConfig:
                 f"unknown executor {self.executor!r}; choose from: "
                 + ", ".join(EXECUTORS)
             )
-        if self.routing not in ROUTINGS:
-            raise EngineError(
-                f"unknown routing {self.routing!r}; choose from: "
-                + ", ".join(ROUTINGS)
-            )
-        if self.merge_strategy not in MERGE_STRATEGIES:
-            raise EngineError(
-                f"unknown merge strategy {self.merge_strategy!r}; choose from: "
-                + ", ".join(MERGE_STRATEGIES)
-            )
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise EngineError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
@@ -168,8 +146,6 @@ class EngineConfig:
             "shards": self.shards,
             "workers": self.workers,
             "executor": self.executor,
-            "routing": self.routing,
-            "merge_strategy": self.merge_strategy,
             "seed": self.seed,
             "batch_size": self.batch_size,
             "summary_kwargs": dict(self.summary_kwargs),
@@ -181,10 +157,12 @@ class EngineConfig:
             raise EngineError(
                 f"unsupported engine-config format {payload.get('format')!r}"
             )
-        # Older checkpoints may carry a ``lane`` key (the lane is now read
-        # off each batch, so it is ignored) or the retired merge-built
-        # ``process`` executor: shard payloads do not depend on the executor
-        # that built them, so those restore onto ``serial``.
+        # Older checkpoints may carry keys for retired settings, which are
+        # ignored: ``lane`` (now read off each batch), ``routing`` (every
+        # engine routes by arrival, so a hash-routed checkpoint continues by
+        # arrival) and ``merge_strategy`` (every fold is balanced).  The
+        # retired merge-built ``process`` executor restores onto ``serial``:
+        # shard payloads do not depend on the executor that built them.
         executor = payload["executor"]
         return cls(
             summary=payload["summary"],
@@ -192,8 +170,6 @@ class EngineConfig:
             shards=int(payload["shards"]),
             workers=int(payload["workers"]),
             executor="serial" if executor == "process" else executor,
-            routing=payload["routing"],
-            merge_strategy=payload["merge_strategy"],
             seed=int(payload["seed"]),
             batch_size=int(payload["batch_size"]),
             summary_kwargs=dict(payload.get("summary_kwargs", {})),

@@ -3,13 +3,15 @@
 :class:`ShardedQuantileEngine` ingests batches of raw numeric values, routes
 each value to one of ``shards`` per-shard summaries (any registered,
 mergeable summary type — see :mod:`repro.model.registry`), and answers
-global quantile/rank queries by folding the shards through a merge tree
-(:mod:`repro.engine.merge_tree`).  Everything is deterministic by
-construction: routing is value- or index-based (:mod:`repro.engine.routing`),
-shard summaries are seeded per shard, and each shard is only ever touched by
-one worker at a time — so serial, threaded, process-pool and re-run
-executions produce bit-identical shard states.  Batches are applied through
-a pluggable :class:`~repro.engine.workers.base.ShardExecutor`
+global quantile/rank queries by folding the shards through a balanced merge
+tree (:mod:`repro.engine.merge_tree`).  Everything is deterministic by
+construction: routing follows arrival order and never reads a value
+(:mod:`repro.engine.routing`), shard summaries are seeded per shard, and
+each shard is only ever touched by one worker at a time — so serial,
+threaded, process-pool and re-run executions produce bit-identical shard
+states, and an order-preserving relabelling of the input leaves every
+comparison-based shard in the same state (Definition 2.1).  Batches are
+applied through a pluggable :class:`~repro.engine.workers.base.ShardExecutor`
 (:mod:`repro.engine.workers`): the default keeps shards in-process, the
 ``processes`` executor moves shard ownership into supervised worker
 processes for real parallelism.
@@ -82,8 +84,8 @@ def _chunks(values: Iterable, size: int) -> Iterator[list]:
     if isinstance(values, (list, array)):
         # Slicing a concrete sequence yields the same chunks as the
         # per-item loop below at a fraction of the cost; an ``array``
-        # chunk stays an ``array``, keeping the columnar lane's routing
-        # fast path (and its zero-copy numpy view) alive downstream.
+        # chunk stays an ``array``, which routing slices into int64
+        # buckets without testing a single value.
         for start in range(0, len(values), size):
             yield values[start : start + size]
         return
@@ -272,14 +274,9 @@ class ShardedQuantileEngine:
         self._refresh_shards()
         if self._merged is None:
             fold_started = perf_counter_ns()
-            with obs_spans.span(
-                "engine.merge_fold",
-                shards=self.config.shards,
-                strategy=self.config.merge_strategy,
-            ):
+            with obs_spans.span("engine.merge_fold", shards=self.config.shards):
                 self._merged = fold_shards(
                     self._shards,
-                    self.config.merge_strategy,
                     on_merge=lambda: self.telemetry.count("merges_performed"),
                 )
             self.telemetry.record_latency(

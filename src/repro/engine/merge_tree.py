@@ -2,21 +2,15 @@
 
 A sharded engine answers a global quantile query by combining its shards
 through the merges registered in :mod:`repro.model.registry` (GK's pairwise
-bound-merge, KLL/MRL/REQ native merges, exact concatenation).  Two fold
-shapes are offered:
+bound-merge, KLL/MRL/REQ native merges, exact concatenation) in a balanced
+tree: pairwise rounds of adjacent merges, depth ``ceil(log2 k)``.  This is
+the shape mergeable-summary theory assumes (Agarwal et al., *Mergeable
+summaries*): for KLL-style sketches the error analysis follows the tree
+depth, and for GK the rank bounds add exactly, so the fold keeps the
+max-epsilon guarantee while intermediate summaries stay small.
 
-* **balanced** — pairwise rounds, a merge tree of depth ``ceil(log2 k)``.
-  This is the shape mergeable-summary theory assumes (Agarwal et al.,
-  *Mergeable summaries*): for KLL-style sketches the error analysis follows
-  the tree depth, and for GK the rank-bound sums are associative, so the
-  guarantee is the same either way but intermediate summaries stay small.
-* **left** — a sequential ``((s0+s1)+s2)+...`` fold, the shape a streaming
-  coordinator naturally produces when shards report one at a time.
-
-For GK both orders give *exactly* the max-epsilon guarantee (rank bounds add
-exactly and addition is associative); the property tests assert that neither
-order violates the bound.  Registered merges never mutate their inputs, so
-folding is repeatable and the shards remain live for further ingestion.
+Registered merges never mutate their inputs, so folding is repeatable and
+the shards remain live for further ingestion.
 """
 
 from __future__ import annotations
@@ -29,26 +23,15 @@ from repro.model.summary import QuantileSummary
 MergeCallback = Callable[[], None]
 
 
-def fold_left(
+def fold_shards(
     summaries: Sequence[QuantileSummary],
     on_merge: MergeCallback | None = None,
 ) -> QuantileSummary:
-    """Sequential fold: ``((s0 + s1) + s2) + ...``."""
-    if not summaries:
-        raise ValueError("cannot fold zero summaries")
-    merged = summaries[0]
-    for other in summaries[1:]:
-        merged = merge_summaries(merged, other)
-        if on_merge is not None:
-            on_merge()
-    return merged
+    """Balanced pairwise fold: rounds of adjacent merges until one remains.
 
-
-def fold_balanced(
-    summaries: Sequence[QuantileSummary],
-    on_merge: MergeCallback | None = None,
-) -> QuantileSummary:
-    """Balanced pairwise fold: rounds of adjacent merges until one remains."""
+    With a single shard the shard itself is returned (no merge, no copy);
+    callers must treat the result as read-only either way.
+    """
     if not summaries:
         raise ValueError("cannot fold zero summaries")
     level = list(summaries)
@@ -62,26 +45,3 @@ def fold_balanced(
             next_level.append(level[-1])
         level = next_level
     return level[0]
-
-
-_STRATEGIES = {"balanced": fold_balanced, "left": fold_left}
-
-
-def fold_shards(
-    summaries: Sequence[QuantileSummary],
-    strategy: str = "balanced",
-    on_merge: MergeCallback | None = None,
-) -> QuantileSummary:
-    """Fold ``summaries`` with the named strategy.
-
-    With a single shard the shard itself is returned (no merge, no copy);
-    callers must treat the result as read-only either way.
-    """
-    try:
-        fold = _STRATEGIES[strategy]
-    except KeyError:
-        known = ", ".join(sorted(_STRATEGIES))
-        raise ValueError(
-            f"unknown merge strategy {strategy!r}; choose from: {known}"
-        ) from None
-    return fold(summaries, on_merge)

@@ -1,12 +1,11 @@
 """In-process executors: shards stay in the engine, batches apply locally.
 
-:class:`SerialExecutor` is the default and reproduces the engine's
-historical serial ingest path exactly — same normalisation, same routing,
-same per-shard ``process_many`` calls in the same order — so its shard
-states are bit-identical to every pre-executor release.
+:class:`SerialExecutor` is the default: it routes each batch by arrival and
+feeds every busy shard in order, in the calling thread.
 :class:`ThreadExecutor` keeps the shards in-process too but feeds busy
 shards from one thread pool held from ``bind`` to ``close`` (one task per
-busy shard, so a shard is still only ever touched by one thread).
+busy shard, so a shard is still only ever touched by one thread).  Both
+leave bit-identical shard states.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from repro.engine.engine import as_fraction
-from repro.engine.routing import route_batch
+from repro.engine.routing import fast_int_buckets, route_batch
 from repro.engine.workers.base import ShardExecutor
-from repro.engine.workers.ipc import fast_int_buckets
 from repro.model.registry import get_descriptor
 
 
@@ -42,16 +40,12 @@ class _InlineExecutor(ShardExecutor):
         config = engine.config
         buckets = None
         if self._columnar:
-            buckets = fast_int_buckets(
-                values, config.shards, config.routing, already_ingested
-            )
+            buckets = fast_int_buckets(values, config.shards, already_ingested)
         if buckets is not None:
             feed = engine._feed_shard_numeric
         else:
             fractions = [as_fraction(value) for value in values]
-            buckets = route_batch(
-                fractions, config.shards, config.routing, already_ingested
-            )
+            buckets = route_batch(fractions, config.shards, already_ingested)
             feed = engine._feed_shard
         busy = [index for index, bucket in enumerate(buckets) if bucket]
         return buckets, feed, busy

@@ -4,14 +4,14 @@ Shard summaries *live* in long-running worker processes here.  The
 coordinator's per-batch work shrinks to routing and cheap encoding:
 
 * When a raw batch is int-faithful (the common synthetic/bench shape),
-  routing runs on the ints directly (:func:`~repro.engine.workers.ipc
-  .fast_int_buckets`, vectorised when numpy is importable, bit-identical
-  to routing ``Fraction(v)`` either way) and each bucket packs into one
-  contiguous int64 buffer (``"i64"``, or bare ints beyond int64).  Workers
-  apply int buckets through ``process_numeric`` when the summary type is
-  columnar-capable, so no Fraction or Item is built on either side of the
-  pipe; other types rebuild exact Fractions worker-side, which moves the
-  single biggest serial cost into the workers.
+  routing slices the ints directly (:func:`~repro.engine.routing
+  .fast_int_buckets`, the same arrival buckets as routing ``Fraction(v)``)
+  and each bucket packs into one contiguous int64 buffer (``"i64"``, or
+  bare ints beyond int64).  Workers apply int buckets through
+  ``process_numeric`` when the summary type is columnar-capable, so no
+  Fraction or Item is built on either side of the pipe; other types
+  rebuild exact Fractions worker-side, which moves the single biggest
+  serial cost into the workers.
 * Otherwise the batch is normalised through
   :func:`~repro.engine.engine.as_fraction` first — so malformed values
   raise exactly like the serial path, before any worker mutates — and
@@ -32,13 +32,9 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.engine.engine import as_fraction
-from repro.engine.routing import route_batch
+from repro.engine.routing import fast_int_buckets, route_batch
 from repro.engine.workers.base import ShardExecutor
-from repro.engine.workers.ipc import (
-    encode_fractions,
-    encode_int_bucket,
-    fast_int_buckets,
-)
+from repro.engine.workers.ipc import encode_fractions, encode_int_bucket
 from repro.engine.workers.supervisor import Supervisor
 
 
@@ -73,16 +69,12 @@ class ProcessPoolExecutor(ShardExecutor):
 
     def apply_batch(self, values: Sequence, already_ingested: int) -> tuple[int, int]:
         config = self.engine.config
-        buckets = fast_int_buckets(
-            values, config.shards, config.routing, already_ingested
-        )
+        buckets = fast_int_buckets(values, config.shards, already_ingested)
         if buckets is not None:
             encoded = [encode_int_bucket(bucket) for bucket in buckets]
         else:
             fractions = [as_fraction(value) for value in values]
-            buckets = route_batch(
-                fractions, config.shards, config.routing, already_ingested
-            )
+            buckets = route_batch(fractions, config.shards, already_ingested)
             encoded = [encode_fractions(bucket) for bucket in buckets]
         supervisor = self.supervisor
         assignments: dict[int, list] = {}

@@ -230,7 +230,7 @@ def _reference_shards(config, batches):
     ingested = 0
     for batch in batches:
         fractions = [as_fraction(value) for value in batch]
-        buckets = route_batch(fractions, config.shards, config.routing, ingested)
+        buckets = route_batch(fractions, config.shards, ingested)
         for shard, universe, bucket in zip(shards, universes, buckets):
             for value in bucket:
                 shard.process(universe.item(value))
@@ -252,7 +252,7 @@ def _assert_matches_reference(engine, batches):
         s.max_item_count for s in reference
     ]
     phis = (0.01, 0.1, 0.5, 0.9, 0.99)
-    merged = fold_shards(reference, config.merge_strategy)
+    merged = fold_shards(reference)
     assert engine.quantiles(phis) == [key_of(merged.query(phi)) for phi in phis]
     probes = [0, 3, 12345, 10**6]
     assert engine.rank_many(probes) == [
@@ -265,8 +265,6 @@ def test_engine_lane_equivalence(executor):
     """Integer input runs columnar and matches a per-item Item reference."""
     rng = random.Random(31)
     values = [rng.randint(10, 10**6) for _ in range(2500)]
-    # 1200-value batches take the vectorised routing path, the 100-value
-    # tail the pure-Python one.
     batches = [values[:1200], values[1200:2400], values[2400:]]
     # 2.5 is the new minimum, which GK never compresses away.
     mixed = [rng.randint(10, 10**6) for _ in range(300)] + [2.5]

@@ -12,12 +12,9 @@ from repro.engine import (
     EngineConfig,
     ShardedQuantileEngine,
     Telemetry,
-    fold_balanced,
-    fold_left,
     fold_shards,
     read_checkpoint,
     route_batch,
-    shard_of,
 )
 from repro.engine.engine import as_fraction
 from repro.errors import CheckpointError, EngineError
@@ -47,8 +44,6 @@ class TestConfig:
             ({"epsilon": 0.0}, "epsilon"),
             ({"epsilon": 1.5}, "epsilon"),
             ({"executor": "gpu"}, "executor"),
-            ({"routing": "randomly"}, "routing"),
-            ({"merge_strategy": "chaotic"}, "merge strategy"),
         ],
     )
     def test_bad_config_raises_engine_error(self, kwargs, fragment):
@@ -58,7 +53,7 @@ class TestConfig:
     def test_payload_round_trip(self):
         config = EngineConfig(
             summary="kll", epsilon=0.02, shards=3, workers=2, executor="thread",
-            routing="round-robin", merge_strategy="left", seed=9, batch_size=128,
+            seed=9, batch_size=128,
         )
         assert EngineConfig.from_payload(config.to_payload()) == config
 
@@ -73,28 +68,14 @@ class TestConfig:
 
 
 class TestRouting:
-    def test_hash_routing_is_stable_and_in_range(self):
-        for value in map(Fraction, _values(500)):
-            index = shard_of(value, 7)
-            assert 0 <= index < 7
-            assert shard_of(value, 7) == index
-
-    def test_hash_routing_spreads_values(self):
-        buckets = route_batch([Fraction(v) for v in range(10_000)], 8, "hash", 0)
-        counts = [len(bucket) for bucket in buckets]
-        assert min(counts) > 10_000 / 8 * 0.7
-
     def test_round_robin_continues_across_batches(self):
         values = [Fraction(v) for v in range(10)]
-        whole = route_batch(values, 3, "round-robin", 0)
-        first = route_batch(values[:4], 3, "round-robin", 0)
-        second = route_batch(values[4:], 3, "round-robin", 4)
+        whole = route_batch(values, 3, 0)
+        assert whole == [values[0::3], values[1::3], values[2::3]]
+        first = route_batch(values[:4], 3, 0)
+        second = route_batch(values[4:], 3, 4)
         combined = [a + b for a, b in zip(first, second)]
         assert combined == whole
-
-    def test_unknown_routing_raises(self):
-        with pytest.raises(ValueError, match="routing"):
-            route_batch([], 2, "nope", 0)
 
 
 class TestMergeTree:
@@ -109,12 +90,11 @@ class TestMergeTree:
             shards.append(summary)
         return shards
 
-    def test_both_strategies_preserve_total_count(self):
+    def test_fold_preserves_total_count(self):
         for count in (1, 2, 3, 5, 8):
             shards = self._shards(count)
             total = sum(shard.n for shard in shards)
-            assert fold_left(shards).n == total
-            assert fold_balanced(shards).n == total
+            assert fold_shards(shards).n == total
 
     def test_single_shard_is_returned_unmerged(self):
         (shard,) = self._shards(1)
@@ -123,16 +103,12 @@ class TestMergeTree:
     def test_merge_callback_counts_merges(self):
         shards = self._shards(5)
         calls = []
-        fold_balanced(shards, on_merge=lambda: calls.append(1))
+        fold_shards(shards, on_merge=lambda: calls.append(1))
         assert len(calls) == 4  # k summaries always need k-1 merges
 
     def test_empty_fold_raises(self):
         with pytest.raises(ValueError):
             fold_shards([])
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="strategy"):
-            fold_shards(self._shards(2), "sideways")
 
 
 class TestTelemetry:
@@ -208,9 +184,7 @@ class TestEngineIngestAndQuery:
         assert fingerprints() == fingerprints()
 
     def test_round_robin_balances_exactly(self):
-        engine = ShardedQuantileEngine(
-            EngineConfig(summary="gk", shards=4, routing="round-robin")
-        )
+        engine = ShardedQuantileEngine(EngineConfig(summary="gk", shards=4))
         report = engine.ingest(_values(1000))
         assert report.shard_counts == [250, 250, 250, 250]
 
@@ -375,9 +349,9 @@ class TestShardedGuaranteeProperty:
     """Satellite property: sharded answers stay within the merged bound.
 
     The engine's rank estimates must stay within ``epsilon * n`` of exact
-    offline ranks (GK's merge keeps the max input epsilon), and the fold
-    order — left fold vs balanced tree — must never affect whether the
-    guarantee holds.
+    offline ranks (GK's merge keeps the max input epsilon), for any shard
+    count, including odd ones whose balanced fold carries a shard up a level
+    unmerged.
     """
 
     @settings(max_examples=15, deadline=None)
@@ -386,36 +360,26 @@ class TestShardedGuaranteeProperty:
             st.integers(min_value=0, max_value=10_000), min_size=50, max_size=400
         ),
         shards=st.integers(min_value=1, max_value=6),
-        routing=st.sampled_from(["hash", "round-robin"]),
-        data=st.data(),
     )
-    def test_rank_within_epsilon_of_exact_for_both_fold_orders(
-        self, values, shards, routing, data
-    ):
+    def test_rank_within_epsilon_of_exact(self, values, shards):
         epsilon = 1 / 8
         n = len(values)
         ordered = sorted(values)
         probes = [ordered[0], ordered[n // 4], ordered[n // 2], ordered[-1]]
-        for strategy in ("balanced", "left"):
-            engine = ShardedQuantileEngine(
-                EngineConfig(
-                    summary="gk", epsilon=epsilon, shards=shards,
-                    routing=routing, merge_strategy=strategy, batch_size=64,
-                )
+        engine = ShardedQuantileEngine(
+            EngineConfig(
+                summary="gk", epsilon=epsilon, shards=shards, batch_size=64,
             )
-            engine.ingest(values)
-            for probe in probes:
-                # under ties the exact rank is an interval; the estimate
-                # must come within eps*n of it
-                below = sum(1 for v in values if v < probe)
-                at_most = sum(1 for v in values if v <= probe)
-                estimate = engine.rank(probe)
-                assert below - epsilon * n - 1 <= estimate, (
-                    strategy, probe, estimate, below,
-                )
-                assert estimate <= at_most + epsilon * n + 1, (
-                    strategy, probe, estimate, at_most,
-                )
+        )
+        engine.ingest(values)
+        for probe in probes:
+            # under ties the exact rank is an interval; the estimate
+            # must come within eps*n of it
+            below = sum(1 for v in values if v < probe)
+            at_most = sum(1 for v in values if v <= probe)
+            estimate = engine.rank(probe)
+            assert below - epsilon * n - 1 <= estimate, (probe, estimate, below)
+            assert estimate <= at_most + epsilon * n + 1, (probe, estimate, at_most)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -439,23 +403,19 @@ class TestShardedGuaranteeProperty:
             at_most = sum(1 for v in values if v <= answer)
             assert below - epsilon * n - 1 <= phi * n <= at_most + epsilon * n + 1
 
-    def test_fold_orders_both_preserve_the_guarantee(self):
-        # the merged tuple structure differs between fold shapes, but both
-        # must keep every answer inside the eps rank window
+    def test_odd_shard_fold_preserves_the_guarantee(self):
+        # five shards: the balanced fold carries the last shard up a level
+        # unmerged, and every answer must still sit inside the eps window
         values = _values(2000)
         n = len(values)
         epsilon = 1 / 16
-        for strategy in ("balanced", "left"):
-            engine = ShardedQuantileEngine(
-                EngineConfig(
-                    summary="gk", epsilon=epsilon, shards=5,
-                    merge_strategy=strategy,
-                )
-            )
-            engine.ingest(values)
-            assert engine.merged_summary().n == n
-            for phi in (0.1, 0.3, 0.5, 0.7, 0.9):
-                answer = engine.query(phi)
-                below = sum(1 for v in values if v < answer)
-                at_most = sum(1 for v in values if v <= answer)
-                assert below - epsilon * n <= phi * n <= at_most + epsilon * n + 1
+        engine = ShardedQuantileEngine(
+            EngineConfig(summary="gk", epsilon=epsilon, shards=5)
+        )
+        engine.ingest(values)
+        assert engine.merged_summary().n == n
+        for phi in (0.1, 0.3, 0.5, 0.7, 0.9):
+            answer = engine.query(phi)
+            below = sum(1 for v in values if v < answer)
+            at_most = sum(1 for v in values if v <= answer)
+            assert below - epsilon * n <= phi * n <= at_most + epsilon * n + 1

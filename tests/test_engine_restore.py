@@ -18,9 +18,9 @@ from repro.errors import EngineError
 from repro.persistence import dump as dump_summary
 
 
-def make_engine(routing: str = "round-robin", shards: int = 3) -> ShardedQuantileEngine:
+def make_engine(shards: int = 3) -> ShardedQuantileEngine:
     return ShardedQuantileEngine(
-        EngineConfig(summary="gk", epsilon=0.05, shards=shards, routing=routing)
+        EngineConfig(summary="gk", epsilon=0.05, shards=shards)
     )
 
 
@@ -82,20 +82,6 @@ class TestRestoreContinuesRoundRobin:
             assert restored.query(phi) == straight.query(phi)
         assert restored.rank(500) == straight.rank(500)
 
-    def test_hash_routing_also_survives_restore(self, tmp_path):
-        values = [v * 7 % 1009 for v in range(600)]
-        straight = make_engine(routing="hash")
-        straight.ingest(values)
-
-        interrupted = make_engine(routing="hash")
-        interrupted.ingest(values[:200])
-        path = tmp_path / "hash.jsonl"
-        interrupted.checkpoint(path)
-        restored = ShardedQuantileEngine.restore(path)
-        restored.ingest(values[200:])
-
-        assert shard_payloads(restored) == shard_payloads(straight)
-
 
 def rewrite_config(path, **changes) -> None:
     """Edit a checkpoint's header config in place, as an older writer would."""
@@ -107,7 +93,10 @@ def rewrite_config(path, **changes) -> None:
 
 
 class TestLegacyCheckpoints:
-    """Checkpoints from before the lane was inferred, or from ``process``."""
+    """Checkpoints naming retired settings: a lane, ``process``, a routing
+    or a merge strategy.  Each restores, then routes by arrival and folds
+    balanced.
+    """
 
     @pytest.mark.parametrize(
         "changes",
@@ -116,14 +105,17 @@ class TestLegacyCheckpoints:
             {"lane": "columnar"},
             {"executor": "process"},
             {"executor": "process", "lane": "items"},
+            {"routing": "hash"},
+            {"routing": "round-robin"},
+            {"merge_strategy": "left"},
         ],
     )
     def test_legacy_config_restores_to_the_same_answers(self, tmp_path, changes):
         values = [v * 7919 % 100_003 for v in range(3000)]
-        straight = make_engine(routing="hash")
+        straight = make_engine()
         straight.ingest(values)
 
-        interrupted = make_engine(routing="hash")
+        interrupted = make_engine()
         interrupted.ingest(values[:1000])
         path = tmp_path / "legacy.jsonl"
         interrupted.checkpoint(path)
@@ -143,7 +135,8 @@ class TestLegacyCheckpoints:
         again = tmp_path / "again.jsonl"
         restored.checkpoint(again)
         header = json.loads(again.read_text().splitlines()[0])
-        assert "lane" not in header["config"]
+        for retired in ("lane", "routing", "merge_strategy"):
+            assert retired not in header["config"]
         assert header["config"]["executor"] == "serial"
 
     def test_process_executor_is_not_a_config_choice(self):

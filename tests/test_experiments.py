@@ -6,6 +6,12 @@ from repro.analysis.tables import Table
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
 
 
+@pytest.fixture(scope="module")
+def t3_tables():
+    """One T3 run (ε=1/32, k=4) serves both the smoke and the shape check."""
+    return run_experiment("T3", epsilon=1 / 32, k=4)
+
+
 class TestRegistry:
     def test_all_design_md_ids_present(self):
         expected = (
@@ -79,8 +85,8 @@ class TestSmallRuns:
     def test_t2(self):
         self.assert_tables(run_experiment("T2", epsilon=1 / 32, k=3))
 
-    def test_t3(self):
-        self.assert_tables(run_experiment("T3", epsilon=1 / 32, k=3))
+    def test_t3(self, t3_tables):
+        self.assert_tables(t3_tables)
 
     def test_t4(self):
         self.assert_tables(run_experiment("T4", epsilon=1 / 32, k=3, budgets=(8, 16)))
@@ -125,8 +131,8 @@ class TestExpectedShapes:
             if claims == "yes":
                 assert verdict == "yes"
 
-    def test_t3_zero_violations(self):
-        table = run_experiment("T3", epsilon=1 / 32, k=4)[0]
+    def test_t3_zero_violations(self, t3_tables):
+        table = t3_tables[0]
         assert set(table.column("claim1 violations")) == {"0"}
         assert set(table.column("space-gap violations")) == {"0"}
 

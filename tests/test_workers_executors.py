@@ -3,12 +3,13 @@
 The load-bearing property here is the determinism contract: a shard is a
 deterministic function of the value subsequence routed to it, so the
 ``processes`` executor — for all its pipelining, codec encodings and
-vectorised routing — must leave byte-identical shard state behind.  Every
+int-lane routing — must leave byte-identical shard state behind.  Every
 test in this file is some projection of that claim: identical checkpoint
 records, identical answers, identical routing buckets.
 """
 
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -24,15 +25,13 @@ from repro.engine import (
     read_checkpoint,
     route_batch,
 )
+from repro.engine.routing import fast_int_buckets
 from repro.engine.workers import inline
 from repro.engine.workers.ipc import (
     MODE_INTS,
     MODE_PAIRS,
     decode_values,
     encode_fractions,
-    fast_int_buckets,
-    route_int_batch,
-    shard_of_int,
 )
 from repro.errors import EngineError
 
@@ -79,51 +78,25 @@ class TestCodec:
         with pytest.raises(ValueError, match="encoding"):
             decode_values("utf-8", [1])
 
-    def test_int_routing_matches_fraction_routing(self):
-        values = _values(500, bound=10**9) + [-5, 0, 2**63, 2**70]
-        for count in (1, 3, 8):
-            for value in values:
-                assert shard_of_int(value, count) == (
-                    route_batch([Fraction(value)], count, "hash", 0).index(
-                        [Fraction(value)]
-                    )
-                )
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        values=st.lists(
-            st.integers(min_value=-(2**70), max_value=2**70), max_size=200
-        ),
-        shards=st.integers(min_value=1, max_value=7),
-        routing=st.sampled_from(["hash", "round-robin"]),
-        already=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_int_batch_routing_is_bit_identical(
-        self, values, shards, routing, already
-    ):
-        buckets = route_int_batch(values, shards, routing, already)
-        expected = route_batch(
-            [Fraction(v) for v in values], shards, routing, already
-        )
-        assert [[Fraction(v) for v in b] for b in buckets] == expected
-
     def test_vectorised_buckets_match_the_reference(self):
-        # Big enough to take the numpy path, with negatives and the full
-        # int64 range in play; bools and int-valued floats are accepted
+        # Negatives and the full int64 range in play, as an int list and
+        # as an ``array('q')``; bools and int-valued floats are accepted
         # because their Fraction image is identical.
         rng = random.Random(5)
-        values = [rng.randint(-(2**63), 2**63 - 1) for _ in range(3000)]
-        values += [True, False, 7.0]
-        for routing in ("hash", "round-robin"):
-            fast = fast_int_buckets(values, 5, routing, 42)
-            expected = route_batch(
-                [Fraction(v) for v in values], 5, routing, 42
-            )
+        ints = [rng.randint(-(2**63), 2**63 - 1) for _ in range(3000)]
+        expected = route_batch([Fraction(v) for v in ints], 5, 42)
+        for values in (ints, array("q", ints)):
+            fast = fast_int_buckets(values, 5, 42)
+            assert all(type(b) is array and b.typecode == "q" for b in fast)
             assert [[Fraction(v) for v in b] for b in fast] == expected
+        values = ints + [True, False, 7.0]
+        fast = fast_int_buckets(values, 5, 42)
+        expected = route_batch([Fraction(v) for v in values], 5, 42)
+        assert [[Fraction(v) for v in b] for b in fast] == expected
 
     def test_vectorised_buckets_reject_unfaithful_values(self):
-        assert fast_int_buckets([1.5] * 3000, 3, "hash", 0) is None
-        assert fast_int_buckets(["2"] * 3000, 3, "hash", 0) is None
+        assert fast_int_buckets([1.5] * 3000, 3, 0) is None
+        assert fast_int_buckets(["2"] * 3000, 3, 0) is None
 
     @pytest.mark.parametrize(
         "kind, accepted",
@@ -158,33 +131,27 @@ class TestCodec:
 
         for length in (10, 2000):
             values = make(length)
-            for routing in ("hash", "round-robin"):
-                buckets = fast_int_buckets(values, 3, routing, 17)
-                assert (buckets is not None) is accepted, (length, routing)
-                if buckets is not None:
-                    expected = route_batch(
-                        [as_fraction(v) for v in values], 3, routing, 17
-                    )
-                    assert [[Fraction(v) for v in b] for b in buckets] == expected
+            buckets = fast_int_buckets(values, 3, 17)
+            assert (buckets is not None) is accepted, length
+            if buckets is not None:
+                expected = route_batch([as_fraction(v) for v in values], 3, 17)
+                assert [[Fraction(v) for v in b] for b in buckets] == expected
 
     def test_huge_ints_fall_back_to_the_pure_python_path(self):
         values = [2**70 + i for i in range(2000)]
-        fast = fast_int_buckets(values, 3, "hash", 0)
-        expected = route_batch([Fraction(v) for v in values], 3, "hash", 0)
+        fast = fast_int_buckets(values, 3, 0)
+        expected = route_batch([Fraction(v) for v in values], 3, 0)
         assert [[Fraction(v) for v in b] for b in fast] == expected
 
 
 class TestProcessPoolBitIdentity:
     @pytest.mark.parametrize("summary", ["gk", "kll"])
-    @pytest.mark.parametrize("routing", ["hash", "round-robin"])
-    def test_checkpoints_are_byte_identical_to_serial(
-        self, tmp_path, summary, routing
-    ):
+    def test_checkpoints_are_byte_identical_to_serial(self, tmp_path, summary):
         values = _values(4000)
         paths = {}
         for executor, workers in (("serial", 1), ("processes", 3)):
             config = EngineConfig(
-                summary=summary, epsilon=0.05, shards=4, routing=routing,
+                summary=summary, epsilon=0.05, shards=4,
                 executor=executor, workers=workers, seed=3, batch_size=512,
             )
             with ShardedQuantileEngine(config) as engine:
@@ -296,13 +263,12 @@ class TestProcessPoolBitIdentity:
             st.integers(min_value=0, max_value=10_000), min_size=30, max_size=150
         ),
         shards=st.integers(min_value=1, max_value=4),
-        routing=st.sampled_from(["hash", "round-robin"]),
     )
-    def test_executor_axis_preserves_every_answer(self, values, shards, routing):
+    def test_executor_axis_preserves_every_answer(self, values, shards):
         answers = []
         for executor in ("serial", "processes"):
             config = EngineConfig(
-                summary="gk", epsilon=0.1, shards=shards, routing=routing,
+                summary="gk", epsilon=0.1, shards=shards,
                 executor=executor, workers=2, batch_size=32,
             )
             with ShardedQuantileEngine(config) as engine:
