@@ -5,9 +5,9 @@ A standalone argparse script (run it directly, not through pytest):
     PYTHONPATH=src python benchmarks/bench_engine.py            # full run
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke    # CI-sized
 
-    # serial vs process-pool at several shard counts
+    # serial vs thread at several shard counts
     PYTHONPATH=src python benchmarks/bench_engine.py \\
-        --executors serial processes --shards 1 2 4 8 --workers 0
+        --executors serial thread --shards 1 2 4 8 --workers 0
 
 It ingests a seeded pseudorandom integer stream into
 :class:`repro.engine.ShardedQuantileEngine` for each (summary, shard

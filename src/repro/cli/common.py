@@ -60,13 +60,13 @@ def add_engine_options(parser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker count for the thread/processes executors",
+        help="thread-pool size for the thread executor",
     )
     parser.add_argument(
         "--executor",
         default="serial",
         choices=EXECUTORS,
-        help="processes = supervised worker processes own the shards",
+        help="thread = busy shards apply on a pool of --workers threads",
     )
     parser.add_argument("--seed", type=int, default=0)
 

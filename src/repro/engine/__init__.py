@@ -18,12 +18,9 @@ from repro.engine.merge_tree import fold_shards
 from repro.engine.routing import route_batch
 from repro.engine.telemetry import Telemetry
 from repro.engine.workers import (
-    ProcessPoolExecutor,
     SerialExecutor,
     ShardExecutor,
-    Supervisor,
     create_executor,
-    executor_kinds,
 )
 
 __all__ = [
@@ -31,15 +28,12 @@ __all__ = [
     "EXECUTORS",
     "EngineConfig",
     "IngestReport",
-    "ProcessPoolExecutor",
     "SerialExecutor",
     "ShardExecutor",
     "ShardedQuantileEngine",
-    "Supervisor",
     "Telemetry",
     "as_fraction",
     "create_executor",
-    "executor_kinds",
     "fold_shards",
     "read_checkpoint",
     "route_batch",

@@ -26,7 +26,7 @@ from repro.model.registry import (
     summary_factory,
 )
 
-EXECUTORS = ("serial", "thread", "processes")
+EXECUTORS = ("serial", "thread")
 
 CONFIG_FORMAT = 1
 
@@ -49,15 +49,15 @@ class EngineConfig:
     shards:
         Number of independent per-shard summaries.
     workers:
-        Worker-pool size for parallel shard ingestion.  Only meaningful for
-        the ``thread`` and ``processes`` executors (capped at ``shards`` for
-        ``processes``).
+        Thread-pool size for parallel shard ingestion.  Only meaningful for
+        the ``thread`` executor.
     executor:
-        ``serial`` (in-loop), ``thread`` (a thread per busy shard, capped at
-        ``workers``), or ``processes`` (long-lived supervised worker
-        processes *own* disjoint shard subsets and stream batches through
-        codec IPC — real parallelism, bit-identical to ``serial``; see
-        :mod:`repro.engine.workers`).
+        ``serial`` (in the calling thread) or ``thread`` (a pool task per
+        busy shard, at most ``workers`` at once; bit-identical to
+        ``serial``, see :mod:`repro.engine.workers`).  The retired
+        ``processes`` executor (worker processes owning the shards) becomes
+        ``thread`` at construction, so its configs and checkpoints run,
+        serialise and report as ``thread``.
     seed:
         Base seed; shard ``i`` gets ``seed + i`` when the summary type is
         seedable, so shards draw independent (but reproducible) randomness.
@@ -76,6 +76,10 @@ class EngineConfig:
     seed: int = 0
     batch_size: int = 4096
     summary_kwargs: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.executor == "processes":
+            self.executor = "thread"
 
     def validate(self) -> "EngineConfig":
         """Check every field; raise :class:`EngineError` with guidance."""
@@ -161,8 +165,9 @@ class EngineConfig:
         # ignored: ``lane`` (now read off each batch), ``routing`` (every
         # engine routes by arrival, so a hash-routed checkpoint continues by
         # arrival) and ``merge_strategy`` (every fold is balanced).  The
-        # retired merge-built ``process`` executor restores onto ``serial``:
-        # shard payloads do not depend on the executor that built them.
+        # retired merge-built ``process`` executor restores onto ``serial``
+        # (``processes`` becomes ``thread`` in ``__post_init__``): shard
+        # payloads do not depend on the executor that built them.
         executor = payload["executor"]
         return cls(
             summary=payload["summary"],

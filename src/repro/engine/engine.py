@@ -7,14 +7,13 @@ global quantile/rank queries by folding the shards through a balanced merge
 tree (:mod:`repro.engine.merge_tree`).  Everything is deterministic by
 construction: routing follows arrival order and never reads a value
 (:mod:`repro.engine.routing`), shard summaries are seeded per shard, and
-each shard is only ever touched by one worker at a time — so serial,
-threaded, process-pool and re-run executions produce bit-identical shard
-states, and an order-preserving relabelling of the input leaves every
-comparison-based shard in the same state (Definition 2.1).  Batches are
-applied through a pluggable :class:`~repro.engine.workers.base.ShardExecutor`
-(:mod:`repro.engine.workers`): the default keeps shards in-process, the
-``processes`` executor moves shard ownership into supervised worker
-processes for real parallelism.
+each shard is only ever touched by one thread at a time — so serial,
+threaded and re-run executions produce bit-identical shard states, and an
+order-preserving relabelling of the input leaves every comparison-based
+shard in the same state (Definition 2.1).  The engine owns its shards;
+batches reach them through a :class:`~repro.engine.workers.base.ShardExecutor`
+(:mod:`repro.engine.workers`): ``serial`` applies each batch in the calling
+thread, ``thread`` applies busy shards from a thread pool.
 
 The engine checkpoints to JSONL (:mod:`repro.engine.checkpoint`) built on
 :mod:`repro.persistence`, and tracks its own health with
@@ -133,10 +132,6 @@ class ShardedQuantileEngine:
         self._read_index = None
         self._read_index_generation = -1
         self._read_generation = 0
-        # For remote executors, the generation at which the local shard
-        # mirror was last collected from the workers (0 = both sides empty).
-        self._collect_generation = 0
-        self._closed = False
         from repro.engine.workers import create_executor
 
         self._executor = create_executor(self.config)
@@ -156,13 +151,7 @@ class ShardedQuantileEngine:
 
     @property
     def shard_summaries(self) -> Sequence[QuantileSummary]:
-        """The live per-shard summaries (read-only view).
-
-        With a remote executor this first collects the workers' shard states
-        into the engine's local mirror, so checkpoints and reads see exactly
-        what the workers hold.
-        """
-        self._refresh_shards()
+        """The live per-shard summaries (read-only view)."""
         return tuple(self._shards)
 
     @property
@@ -192,9 +181,6 @@ class ShardedQuantileEngine:
             for batch in _chunks(values, batch_size):
                 self._ingest_batch(batch)
                 batches += 1
-            # Barrier: remote executors pipeline batches, so the report
-            # (and any immediate read) must wait for the last apply.
-            self._executor.sync()
             ingest_span.set(
                 items=self._items_ingested - items_before, batches=batches
             )
@@ -203,7 +189,7 @@ class ShardedQuantileEngine:
             items=self._items_ingested - items_before,
             batches=batches,
             seconds=seconds,
-            shard_counts=self._executor.shard_counts(),
+            shard_counts=[summary.n for summary in self._shards],
         )
 
     def _ingest_batch(self, values: list) -> None:
@@ -236,25 +222,8 @@ class ShardedQuantileEngine:
 
     # -- queries -------------------------------------------------------------------
 
-    def _refresh_shards(self) -> None:
-        """Sync the local shard mirror with a remote executor's state.
-
-        No-op for in-process executors.  For the process-pool executor, the
-        collected payloads are cached against the ingest generation, so
-        repeated reads without an intervening ingest collect exactly once.
-        """
-        if not self._executor.remote:
-            return
-        if self._collect_generation == self._read_generation:
-            return
-        payloads = self._executor.collect()
-        if payloads is not None:
-            self._load_shards(payloads)
-            self._merged = None
-        self._collect_generation = self._read_generation
-
     def _load_shards(self, payloads: Sequence[dict]) -> None:
-        """Decode shard payloads into the local mirror, columnar where possible."""
+        """Decode checkpointed shard payloads, columnar where possible."""
         self._universes = [Universe() for _ in payloads]
         self._shards = [
             load_summary(payload, universe)
@@ -271,7 +240,6 @@ class ShardedQuantileEngine:
 
         Treat as read-only; with one shard this is the shard itself.
         """
-        self._refresh_shards()
         if self._merged is None:
             fold_started = perf_counter_ns()
             with obs_spans.span("engine.merge_fold", shards=self.config.shards):
@@ -371,24 +339,17 @@ class ShardedQuantileEngine:
         engine._load_shards(parts["shard_payloads"])
         engine._items_ingested = parts["items_ingested"]
         engine._batches = parts["batches"]
-        # Push the restored shard states into the executor (remote executors
-        # forward them to their workers); the mirror is in sync by build.
-        engine._executor.restore(parts["shard_payloads"])
-        engine._collect_generation = engine._read_generation
         engine.telemetry.count("restores")
         return engine
 
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release executor resources — worker processes, pools (idempotent).
+        """Release the executor's thread pool (idempotent).
 
-        Engines with in-process executors stay fully usable after close;
-        process-pool engines must not ingest or read afterwards.
+        The engine stays fully usable after close: a closed ``thread``
+        executor applies batches in the calling thread.
         """
-        if self._closed:
-            return
-        self._closed = True
         self._executor.close()
 
     def __enter__(self) -> "ShardedQuantileEngine":
@@ -402,7 +363,6 @@ class ShardedQuantileEngine:
 
     def stats(self) -> dict:
         """JSON-compatible status: config, shard fill, telemetry snapshot."""
-        self._refresh_shards()
         ingest_seconds = self.telemetry.operation_seconds("ingest_batch")
         return {
             "config": self.config.to_payload(),

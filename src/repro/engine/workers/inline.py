@@ -1,11 +1,10 @@
-"""In-process executors: shards stay in the engine, batches apply locally.
+"""The executors: shards stay in the engine, batches apply in its process.
 
 :class:`SerialExecutor` is the default: it routes each batch by arrival and
 feeds every busy shard in order, in the calling thread.
-:class:`ThreadExecutor` keeps the shards in-process too but feeds busy
-shards from one thread pool held from ``bind`` to ``close`` (one task per
-busy shard, so a shard is still only ever touched by one thread).  Both
-leave bit-identical shard states.
+:class:`ThreadExecutor` feeds busy shards from one thread pool held from
+``bind`` to ``close`` (one task per busy shard, so a shard is still only
+ever touched by one thread).  Both leave bit-identical shard states.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.model.registry import get_descriptor
 
 
 class _InlineExecutor(ShardExecutor):
-    """Shared plumbing for executors whose shards live in the engine."""
+    """Shared plumbing: the lane test and arrival routing of one batch."""
 
     def bind(self, engine) -> None:
         super().bind(engine)
@@ -50,9 +49,6 @@ class _InlineExecutor(ShardExecutor):
         busy = [index for index, bucket in enumerate(buckets) if bucket]
         return buckets, feed, busy
 
-    def shard_counts(self) -> list[int]:
-        return [summary.n for summary in self.engine._shards]
-
 
 class SerialExecutor(_InlineExecutor):
     """Apply every busy shard's bucket in the calling thread (the default)."""
@@ -69,10 +65,11 @@ class SerialExecutor(_InlineExecutor):
 class ThreadExecutor(_InlineExecutor):
     """One thread-pool task per busy shard, ``workers`` threads per engine.
 
-    GIL-bound for pure-Python kernels; useful mainly for summary types whose
-    processing releases the GIL.  Deterministic regardless: each shard is
-    touched by exactly one task, so no locks and no interleaving within a
-    shard.  The pool lives from :meth:`bind` to :meth:`close`; a closed
+    The native GK and KLL kernels run without the GIL (ctypes releases it
+    for each call), so busy shards overlap inside them; the pure-Python
+    kernels and the routing hold it.  Deterministic regardless: each shard
+    is touched by exactly one task, so no locks and no interleaving within
+    a shard.  The pool lives from :meth:`bind` to :meth:`close`; a closed
     executor applies batches inline.
     """
 

@@ -8,11 +8,12 @@ infrastructure, next to :mod:`repro.model.rankindex`, and hands summaries an
 opaque converter instead of letting them import :func:`key_of` themselves.
 
 Promotion is used whenever the engine decodes shard payloads (checkpoint
-restores, worker collects): the persistence codec always decodes into the
-items lane (one wire format for both), and the engine promotes afterwards.  It succeeds only when every
-stored key is an integral rational — exactly the keys the engine's columnar
-ingest fast path can produce — and is a no-op refusal otherwise, which is
-always safe: lanes are equivalent, just differently fast.
+restores): the persistence codec always decodes into the items lane (one
+wire format for both), and the engine promotes afterwards.  It succeeds
+only when every stored key is an integral rational — exactly the keys the
+engine's columnar ingest fast path can produce — and is a no-op refusal
+otherwise, which is always safe: lanes are equivalent, just differently
+fast.
 """
 
 from __future__ import annotations

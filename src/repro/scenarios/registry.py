@@ -76,14 +76,9 @@ class Scenario:
     engine_epsilon: float = 0.02
     shards: int = 2
     audit_fraction: float = 0.25
-    #: Engine executor for self-hosted runs (``serial``/``thread``/
-    #: ``processes``).
+    #: Engine executor for self-hosted runs (``serial``/``thread``).
     executor: str = "serial"
     workers: int = 1
-    #: When non-empty, the self-hosted runner replays the same seeded
-    #: traffic once per worker count and asserts the gateable report cores
-    #: are identical — the executor-invariance contract as a canary.
-    workers_matrix: tuple = ()
     #: Writer wire dialect (``ndjson``/``frames``, see docs/service.md).
     wire: str = "ndjson"
     #: When non-empty, the self-hosted runner replays the same seeded
@@ -118,9 +113,9 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: shed_budget must be in [0, 1]"
             )
-        if self.workers < 1 or any(count < 1 for count in self.workers_matrix):
+        if self.workers < 1:
             raise ScenarioError(
-                f"scenario {self.name!r}: worker counts must be positive"
+                f"scenario {self.name!r}: workers must be positive"
             )
         wires = (self.wire, *self.wire_matrix)
         if any(wire not in ("ndjson", "frames") for wire in wires):
@@ -154,13 +149,8 @@ class Scenario:
             "engine_epsilon": self.engine_epsilon,
             "shards": self.shards,
             "executor": self.executor,
+            "workers": self.workers,
         }
-        if self.workers_matrix:
-            # The effective worker count varies per matrix run, so only the
-            # constant matrix belongs in the (gateable) config echo.
-            payload["workers_matrix"] = list(self.workers_matrix)
-        else:
-            payload["workers"] = self.workers
         if self.wire_matrix:
             payload["wire_matrix"] = list(self.wire_matrix)
         else:
@@ -236,18 +226,6 @@ def _catalog() -> dict[str, Scenario]:
             inserts=12,
             readers=8,
             reads_per_reader=48,
-        ),
-        Scenario(
-            name="shard-scaling",
-            description="executor-invariance canary: replay the same seeded "
-            "uniform traffic through the process-pool executor at 1 and 4 "
-            "workers and assert the gateable report cores (answers, errors, "
-            "accuracy; timing excluded) are identical",
-            pattern="uniform",
-            summary="gk",
-            shards=4,
-            executor="processes",
-            workers_matrix=(1, 4),
         ),
         Scenario(
             name="columnar-replay",

@@ -369,45 +369,33 @@ async def run_scenario(
             raise ValueError("a remote canary run needs both host and port")
         return await _drive(scenario, seed, host, port, wire=scenario.wire)
 
-    worker_counts = list(scenario.workers_matrix) or [scenario.workers]
     wires = list(scenario.wire_matrix) or [scenario.wire]
-    variants = [(workers, wire) for workers in worker_counts for wire in wires]
-    report = await _run_self_hosted(scenario, seed, *variants[0])
-    if len(variants) > 1:
-        # Invariance canary: the same seeded traffic at every variant —
-        # worker count (the process-pool executor's bit-identity contract)
-        # and/or wire dialect (the frame lane's faithfulness contract) —
-        # must produce an identical gateable core, observed end to end
-        # through the service.
+    report = await _run_self_hosted(scenario, seed, wires[0])
+    if len(wires) > 1:
+        # Invariance canary: the same seeded traffic over every wire
+        # dialect (the frame lane's faithfulness contract) must produce an
+        # identical gateable core, observed end to end through the service.
         from repro.scenarios.report import CanaryError, compare_reports
 
-        for workers, wire in variants[1:]:
-            other = await _run_self_hosted(scenario, seed, workers, wire)
+        for wire in wires[1:]:
+            other = await _run_self_hosted(scenario, seed, wire)
             diff = compare_reports(report, other)
             if not diff["identical"]:
                 drifted = ", ".join(
                     change["field"] for change in diff["changes"]
                 )
                 raise CanaryError(
-                    f"scenario {scenario.name!r} is not variant invariant: "
-                    f"{variants[0][0]} worker(s), {variants[0][1]} wire vs "
-                    f"{workers} worker(s), {wire} wire changed {drifted}"
+                    f"scenario {scenario.name!r} is not wire invariant: "
+                    f"{wires[0]} vs {wire} changed {drifted}"
                 )
-        report.ops["scaling"] = {
-            "worker_counts": worker_counts,
-            "wires": wires,
-            "identical": True,
-        }
+        report.ops["scaling"] = {"wires": wires, "identical": True}
     return report
 
 
 async def _run_self_hosted(
-    scenario: Scenario,
-    seed: int,
-    workers: int,
-    wire: str = "ndjson",
+    scenario: Scenario, seed: int, wire: str
 ) -> CanaryReport:
-    """One self-hosted loopback run at an explicit worker count and wire."""
+    """One self-hosted loopback run over an explicit wire."""
     from repro.engine import EngineConfig
     from repro.service.server import QuantileService, ServiceConfig
 
@@ -417,7 +405,7 @@ async def _run_self_hosted(
             epsilon=scenario.engine_epsilon,
             shards=scenario.shards,
             executor=scenario.executor,
-            workers=workers,
+            workers=scenario.workers,
         ),
         config=ServiceConfig(
             port=0,

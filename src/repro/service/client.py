@@ -25,8 +25,8 @@ binary frame lane (:mod:`repro.service.frames`):
   binary frame and awaits the ack (values a frame cannot carry exactly —
   huge ints, strings, non-finite floats — ride the NDJSON line as before);
 * :meth:`QuantileClient.pipeline_insert` keeps a *window* of inserts in
-  flight, matching acknowledgements strictly FIFO like the shard
-  supervisor's ack window — the throughput mode the load generator uses;
+  flight, matching acknowledgements strictly FIFO — the throughput mode
+  the load generator uses;
 * NDJSON ops (query/rank/stats/ping) still work on the same connection:
   the client drains in-flight inserts first, so read-your-writes holds.
 

@@ -17,8 +17,8 @@ side — no JSON encode, no ``json.loads``, no per-value ``Fraction``::
 
 * **insert** payloads are ``count * 8`` bytes of little-endian int64
   (``MODE_I64``) or IEEE-754 float64 (``MODE_F64``) values — exactly the
-  ``array('q')``/``array('d')`` buffers the engine's columnar lane and the
-  shard-worker IPC codec (:mod:`repro.engine.workers.ipc`) already speak.
+  ``array('q')``/``array('d')`` buffers the engine's columnar lane already
+  speaks.
 * **ack** payloads are 24 bytes: ``items``, ``n``, ``epoch`` as unsigned
   little-endian int64 — the same fields the NDJSON insert response carries.
 * **error** payloads are the UTF-8 JSON error object (``{"code", "message"}``)

@@ -37,8 +37,8 @@ Architecture (one event loop, one writer)::
   engine's columnar lane without a single per-value ``Fraction``.  Every
   connection is *pipelined*: a reader task admits requests while an
   ordered responder answers them strictly FIFO, so one client can keep a
-  window of inserts in flight (mirroring the shard supervisor's ack
-  window) and reads still observe every previously acknowledged insert.
+  window of inserts in flight and reads still observe every previously
+  acknowledged insert.
 * **Observability.**  Every stage records to a shared
   :class:`~repro.obs.registry.MetricRegistry` (the engine's telemetry
   included) and emits :mod:`repro.obs.spans` spans; ``GET /metrics`` on
@@ -331,7 +331,7 @@ class QuantileService:
            no ack is lost with its socket and no read runs against a
            closed engine;
         4. checkpoint the engine if configured, then close it (releasing
-           any shard-worker processes);
+           the ``thread`` executor's pool);
         5. close remaining client sockets and wait for every connection
            handler to return, so none is left for the loop's teardown to
            cancel (:meth:`_unwind_handlers`).

@@ -34,6 +34,8 @@ class TestParsers:
     def test_serve_rejects_retired_and_invalid_options(self):
         with pytest.raises(SystemExit):  # every connection speaks both wires
             build_parser().parse_args(["serve", "--wire", "ndjson"])
+        with pytest.raises(SystemExit):  # shards stay in the server's process
+            build_parser().parse_args(["serve", "--executor", "processes"])
         with pytest.raises(SystemExit, match="drain_timeout_s"):
             _run(["serve", "--port", "0", "--drain-timeout", "0"])
 

@@ -12,7 +12,6 @@ executors, and the persistence round-trip.
 
 import json
 import random
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -24,13 +23,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import ShardedQuantileEngine, as_fraction
 from repro.engine.merge_tree import fold_shards
 from repro.engine.routing import route_batch
-from repro.engine.workers.ipc import (
-    MODE_I64,
-    MODE_INTS,
-    decode_numeric,
-    decode_values,
-    encode_int_bucket,
-)
 from repro.errors import EngineError
 from repro.model.lanes import promote_to_columnar
 from repro.model.registry import (
@@ -260,7 +252,7 @@ def _assert_matches_reference(engine, batches):
     ]
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "processes"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_engine_lane_equivalence(executor):
     """Integer input runs columnar and matches a per-item Item reference."""
     rng = random.Random(31)
@@ -295,7 +287,7 @@ def test_engine_lane_equivalence(executor):
 
 def test_engine_stats_reports_shard_lane():
     """stats() reports the lane each shard's input put it on."""
-    for executor in ("serial", "thread", "processes"):
+    for executor in ("serial", "thread"):
         config = EngineConfig(
             summary="gk", epsilon=0.05, shards=2, executor=executor, workers=2
         )
@@ -321,23 +313,3 @@ def test_engine_malformed_record_semantics_unchanged():
     with ShardedQuantileEngine(config) as engine:
         with pytest.raises(EngineError):
             engine.ingest([1, 2, "not-a-number"], batch_size=8)
-
-
-# -- the IPC codec ------------------------------------------------------------------
-
-
-def test_encode_int_bucket_round_trip():
-    bucket = [0, -1, 2**62, -(2**62), 7]
-    mode, payload = encode_int_bucket(bucket)
-    assert mode == MODE_I64
-    assert isinstance(payload, bytes)
-    assert decode_numeric(mode, payload) == array("q", bucket)
-    # Decoding an i64 frame as rationals is the defensive items-lane view.
-    assert decode_values(mode, payload) == [Fraction(v) for v in bucket]
-
-
-def test_encode_int_bucket_overflow_falls_back():
-    bucket = [1, 2**70]
-    mode, payload = encode_int_bucket(bucket)
-    assert mode == MODE_INTS
-    assert decode_numeric(mode, payload) == bucket

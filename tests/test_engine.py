@@ -2,6 +2,7 @@
 
 import json
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from repro.engine import (
     route_batch,
 )
 from repro.engine.engine import as_fraction
+from repro.engine.routing import fast_int_buckets
 from repro.errors import CheckpointError, EngineError
 from repro.model.registry import create_summary
 from repro.universe.item import key_of
@@ -57,6 +59,11 @@ class TestConfig:
         )
         assert EngineConfig.from_payload(config.to_payload()) == config
 
+    def test_retired_processes_executor_builds_as_thread(self):
+        config = EngineConfig(summary="kll", executor="processes", workers=2)
+        assert config.executor == "thread"
+        assert config.to_payload()["executor"] == "thread"
+
     def test_seeded_summaries_get_distinct_shard_seeds(self):
         config = EngineConfig(summary="kll", seed=100)
         assert config.shard_kwargs(0)["seed"] == 100
@@ -76,6 +83,71 @@ class TestRouting:
         second = route_batch(values[4:], 3, 4)
         combined = [a + b for a, b in zip(first, second)]
         assert combined == whole
+
+    def test_vectorised_buckets_match_the_reference(self):
+        # Negatives and the full int64 range in play, as an int list and
+        # as an ``array('q')``; bools and int-valued floats are accepted
+        # because their Fraction image is identical.
+        rng = random.Random(5)
+        ints = [rng.randint(-(2**63), 2**63 - 1) for _ in range(3000)]
+        expected = route_batch([Fraction(v) for v in ints], 5, 42)
+        for values in (ints, array("q", ints)):
+            fast = fast_int_buckets(values, 5, 42)
+            assert all(type(b) is array and b.typecode == "q" for b in fast)
+            assert [[Fraction(v) for v in b] for b in fast] == expected
+        values = ints + [True, False, 7.0]
+        fast = fast_int_buckets(values, 5, 42)
+        expected = route_batch([Fraction(v) for v in values], 5, 42)
+        assert [[Fraction(v) for v in b] for b in fast] == expected
+
+    def test_vectorised_buckets_reject_unfaithful_values(self):
+        assert fast_int_buckets([1.5] * 3000, 3, 0) is None
+        assert fast_int_buckets(["2"] * 3000, 3, 0) is None
+
+    @pytest.mark.parametrize(
+        "kind, accepted",
+        [
+            ("ints", True),
+            ("bools", True),
+            ("int-valued floats", True),
+            ("integral fractions", True),
+            ("huge ints", True),
+            ("non-integral floats", False),
+            ("non-integral fractions", False),
+            ("numeric strings", False),
+            ("nan", False),
+        ],
+    )
+    def test_int_faithfulness_does_not_depend_on_batch_length(self, kind, accepted):
+        def make(length):
+            rng = random.Random(length)
+            draw = {
+                "ints": lambda: rng.randint(-(10**9), 10**9),
+                "bools": lambda: rng.random() < 0.5,
+                "int-valued floats": lambda: float(rng.randint(-(10**9), 10**9)),
+                "integral fractions": lambda: Fraction(rng.randint(-50, 50) * 6, 3),
+                "huge ints": lambda: 2**70 + rng.randint(0, 10**6),
+                "non-integral floats": lambda: rng.randint(0, 99) + 0.5,
+                "non-integral fractions": lambda: Fraction(rng.randint(0, 99), 7),
+                "numeric strings": lambda: str(rng.randint(0, 99)),
+                "nan": lambda: float("nan"),
+            }[kind]
+            # Lead with plain ints so a refusal is decided by the kind alone.
+            return [1, 2, 3] + [draw() for _ in range(length - 3)]
+
+        for length in (10, 2000):
+            values = make(length)
+            buckets = fast_int_buckets(values, 3, 17)
+            assert (buckets is not None) is accepted, length
+            if buckets is not None:
+                expected = route_batch([as_fraction(v) for v in values], 3, 17)
+                assert [[Fraction(v) for v in b] for b in buckets] == expected
+
+    def test_huge_ints_fall_back_to_the_pure_python_path(self):
+        values = [2**70 + i for i in range(2000)]
+        fast = fast_int_buckets(values, 3, 0)
+        expected = route_batch([Fraction(v) for v in values], 3, 0)
+        assert [[Fraction(v) for v in b] for b in fast] == expected
 
 
 class TestMergeTree:
@@ -160,7 +232,7 @@ class TestEngineIngestAndQuery:
     def test_executors_agree_exactly(self):
         values = _values(6000)
         answers = []
-        for executor, workers in (("serial", 1), ("thread", 4), ("processes", 2)):
+        for executor, workers in (("serial", 1), ("thread", 4)):
             with ShardedQuantileEngine(
                 EngineConfig(
                     summary="kll", shards=4, workers=workers,
@@ -169,7 +241,7 @@ class TestEngineIngestAndQuery:
             ) as engine:
                 engine.ingest(values)
                 answers.append(engine.quantiles([0.1, 0.5, 0.9]))
-        assert answers[0] == answers[1] == answers[2]
+        assert answers[0] == answers[1]
 
     def test_reruns_are_bit_identical(self):
         values = _values(3000)

@@ -9,6 +9,7 @@ persisted lifetime item count.  The final shard states must be bit-identical
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -93,24 +94,27 @@ def rewrite_config(path, **changes) -> None:
 
 
 class TestLegacyCheckpoints:
-    """Checkpoints naming retired settings: a lane, ``process``, a routing
-    or a merge strategy.  Each restores, then routes by arrival and folds
-    balanced.
+    """Checkpoints naming retired settings: a lane, ``process``,
+    ``processes``, a routing or a merge strategy.  Each restores, then
+    routes by arrival and folds balanced.
     """
 
     @pytest.mark.parametrize(
-        "changes",
+        "changes, executor",
         [
-            {"lane": "items"},
-            {"lane": "columnar"},
-            {"executor": "process"},
-            {"executor": "process", "lane": "items"},
-            {"routing": "hash"},
-            {"routing": "round-robin"},
-            {"merge_strategy": "left"},
+            ({"lane": "items"}, "serial"),
+            ({"lane": "columnar"}, "serial"),
+            ({"executor": "process"}, "serial"),
+            ({"executor": "process", "lane": "items"}, "serial"),
+            ({"routing": "hash"}, "serial"),
+            ({"routing": "round-robin"}, "serial"),
+            ({"merge_strategy": "left"}, "serial"),
+            ({"executor": "processes", "workers": 2}, "thread"),
         ],
     )
-    def test_legacy_config_restores_to_the_same_answers(self, tmp_path, changes):
+    def test_legacy_config_restores_to_the_same_answers(
+        self, tmp_path, changes, executor
+    ):
         values = [v * 7919 % 100_003 for v in range(3000)]
         straight = make_engine()
         straight.ingest(values)
@@ -123,9 +127,14 @@ class TestLegacyCheckpoints:
 
         restored = ShardedQuantileEngine.restore(path)
         # Shard payloads do not depend on the executor that built them, so
-        # the retired merge-built ``process`` executor restores onto serial.
-        assert restored.config.executor == "serial"
-        assert restored.config == interrupted.config
+        # the retired merge-built ``process`` executor restores onto serial
+        # and the retired worker-process ``processes`` onto thread.
+        assert restored.config == replace(
+            interrupted.config,
+            executor=executor,
+            workers=changes.get("workers", interrupted.config.workers),
+        )
+        assert restored.executor.kind == executor
         restored.ingest(values[1000:])
         assert shard_payloads(restored) == shard_payloads(straight)
         phis = [0.01, 0.25, 0.5, 0.75, 0.99]
@@ -137,7 +146,7 @@ class TestLegacyCheckpoints:
         header = json.loads(again.read_text().splitlines()[0])
         for retired in ("lane", "routing", "merge_strategy"):
             assert retired not in header["config"]
-        assert header["config"]["executor"] == "serial"
+        assert header["config"]["executor"] == executor
 
     def test_process_executor_is_not_a_config_choice(self):
         with pytest.raises(EngineError, match="process"):
