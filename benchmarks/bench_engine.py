@@ -1,22 +1,22 @@
-"""Sharded-engine throughput benchmark: shard counts x executors.
+"""Sharded-engine throughput benchmark: shard counts x worker counts.
 
 A standalone argparse script (run it directly, not through pytest):
 
     PYTHONPATH=src python benchmarks/bench_engine.py            # full run
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke    # CI-sized
 
-    # serial vs thread at several shard counts
+    # the calling thread vs one thread per shard, at several shard counts
     PYTHONPATH=src python benchmarks/bench_engine.py \\
-        --executors serial thread --shards 1 2 4 8 --workers 0
+        --workers 1 0 --shards 1 2 4 8
 
 It ingests a seeded pseudorandom integer stream into
 :class:`repro.engine.ShardedQuantileEngine` for each (summary, shard
-count, executor) cell, records ingest throughput plus merged-query
+count, workers) cell, records ingest throughput plus merged-query
 latency, and appends one entry to
 ``benchmarks/results/BENCH_engine.json`` so runs accumulate a history.
-Each run row carries the executor kind, effective worker count and
-per-shard throughput; within a summary, ``speedup_vs_serial`` compares
-against the serial run at the same shard count when one exists.
+Each run row carries the effective worker count and per-shard
+throughput; within a summary, ``speedup_vs_serial`` compares against the
+``workers=1`` run at the same shard count when one exists.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.engine import EXECUTORS, EngineConfig, ShardedQuantileEngine  # noqa: E402
+from repro.engine import EngineConfig, ShardedQuantileEngine  # noqa: E402
 
 RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_engine.json"
 
@@ -41,7 +41,7 @@ def effective_cpu_count() -> int:
     """Cores this process may actually run on (affinity-aware).
 
     ``os.cpu_count()`` reports the machine; cgroup/affinity limits (CI
-    runners, containers) are what bound a parallel executor's speedup, so
+    runners, containers) are what bound a thread pool's speedup, so
     prefer the scheduling affinity when the platform exposes it.
     """
     try:
@@ -51,15 +51,13 @@ def effective_cpu_count() -> int:
 
 
 def run_once(
-    summary: str, shards: int, executor: str, values: list[int], args
+    summary: str, shards: int, workers: int, values: list[int], args
 ) -> dict:
-    workers = shards if args.workers == 0 else args.workers
     config = EngineConfig(
         summary=summary,
         epsilon=args.epsilon,
         shards=shards,
         workers=workers,
-        executor=executor,
         seed=args.seed,
         batch_size=args.batch_size,
     )
@@ -73,8 +71,7 @@ def run_once(
         return {
             "summary": summary,
             "shards": shards,
-            "executor": executor,
-            "workers": workers if executor != "serial" else 1,
+            "workers": workers,
             "items": report.items,
             "seconds": round(report.seconds, 4),
             "items_per_second": round(report.items_per_second),
@@ -109,17 +106,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="worker count for parallel executors (0 = match the shard count)",
-    )
-    parser.add_argument(
-        "--executor",
-        "--executors",
-        dest="executors",
         nargs="+",
-        default=["serial"],
-        choices=EXECUTORS,
-        help="executor kinds to benchmark (repeat values for a matrix)",
+        default=[1],
+        metavar="W",
+        help="worker counts to benchmark (0 = one per shard)",
     )
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--batch-size", type=int, default=8192)
@@ -137,9 +127,10 @@ def main(argv: list[str] | None = None) -> int:
     for summary in args.summaries:
         serial_by_shards: dict[int, int] = {}
         for shards in args.shards:
-            for executor in args.executors:
-                result = run_once(summary, shards, executor, values, args)
-                if executor == "serial":
+            for workers in args.workers:
+                workers = workers or shards
+                result = run_once(summary, shards, workers, values, args)
+                if workers == 1:
                     serial_by_shards[shards] = result["items_per_second"]
                 baseline = serial_by_shards.get(shards)
                 if baseline:
@@ -158,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                     else ""
                 )
                 print(
-                    f"{summary:>4} x{shards} shard(s) {executor:>9}"
-                    f"[w={result['workers']}]: "
+                    f"{summary:>4} x{shards} shard(s) workers={workers}: "
                     f"{result['items_per_second']:>9,} items/s{note}, "
                     f"5-quantile query {result['query_5_quantiles_ms']} ms"
                 )
@@ -170,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "items": items,
         "smoke": args.smoke,
-        "executors": args.executors,
+        "workers": args.workers,
         "cpu_count": cpu_count,
         "runs": runs,
     }

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from repro.engine import EXECUTORS, EngineConfig
+from repro.engine import EngineConfig
 from repro.model.registry import mergeable_summaries
 from repro.obs import MetricRegistry
 
@@ -60,13 +60,7 @@ def add_engine_options(parser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="thread-pool size for the thread executor",
-    )
-    parser.add_argument(
-        "--executor",
-        default="serial",
-        choices=EXECUTORS,
-        help="thread = busy shards apply on a pool of --workers threads",
+        help="threads feeding busy shards (1 = the calling thread)",
     )
     parser.add_argument("--seed", type=int, default=0)
 
@@ -78,7 +72,6 @@ def engine_config(args: argparse.Namespace) -> EngineConfig:
         epsilon=args.epsilon,
         shards=args.shards,
         workers=args.workers,
-        executor=args.executor,
         seed=args.seed,
         batch_size=args.batch_size,
     )

@@ -45,7 +45,7 @@ def cmd_engine_ingest(args: argparse.Namespace, out: TextIO) -> int:
         f"ingested {report.items} items in {report.batches} batches "
         f"({report.items_per_second:,.0f} items/s) across "
         f"{engine.config.shards} shard(s) [{engine.config.summary}, "
-        f"executor={engine.config.executor}]",
+        f"workers={engine.config.workers}]",
         file=out,
     )
     print(f"shard item counts: {report.shard_counts}", file=out)

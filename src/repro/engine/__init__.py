@@ -12,28 +12,19 @@ from repro.engine.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.engine.config import EXECUTORS, EngineConfig
+from repro.engine.config import EngineConfig
 from repro.engine.engine import IngestReport, ShardedQuantileEngine, as_fraction
 from repro.engine.merge_tree import fold_shards
 from repro.engine.routing import route_batch
 from repro.engine.telemetry import Telemetry
-from repro.engine.workers import (
-    SerialExecutor,
-    ShardExecutor,
-    create_executor,
-)
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "EXECUTORS",
     "EngineConfig",
     "IngestReport",
-    "SerialExecutor",
-    "ShardExecutor",
     "ShardedQuantileEngine",
     "Telemetry",
     "as_fraction",
-    "create_executor",
     "fold_shards",
     "read_checkpoint",
     "route_batch",

@@ -26,8 +26,6 @@ from repro.model.registry import (
     summary_factory,
 )
 
-EXECUTORS = ("serial", "thread")
-
 CONFIG_FORMAT = 1
 
 
@@ -49,15 +47,10 @@ class EngineConfig:
     shards:
         Number of independent per-shard summaries.
     workers:
-        Thread-pool size for parallel shard ingestion.  Only meaningful for
-        the ``thread`` executor.
-    executor:
-        ``serial`` (in the calling thread) or ``thread`` (a pool task per
-        busy shard, at most ``workers`` at once; bit-identical to
-        ``serial``, see :mod:`repro.engine.workers`).  The retired
-        ``processes`` executor (worker processes owning the shards) becomes
-        ``thread`` at construction, so its configs and checkpoints run,
-        serialise and report as ``thread``.
+        Threads that feed busy shards.  ``1`` feeds them in the calling
+        thread; more runs one pool task per busy shard, at most ``workers``
+        at once, on a pool the engine holds until ``close()``.  Shard
+        states are bit-identical either way.
     seed:
         Base seed; shard ``i`` gets ``seed + i`` when the summary type is
         seedable, so shards draw independent (but reproducible) randomness.
@@ -72,14 +65,9 @@ class EngineConfig:
     epsilon: float = 0.01
     shards: int = 4
     workers: int = 1
-    executor: str = "serial"
     seed: int = 0
     batch_size: int = 4096
     summary_kwargs: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.executor == "processes":
-            self.executor = "thread"
 
     def validate(self) -> "EngineConfig":
         """Check every field; raise :class:`EngineError` with guidance."""
@@ -111,11 +99,6 @@ class EngineConfig:
         if not isinstance(self.workers, int) or self.workers < 1:
             raise EngineError(
                 f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if self.executor not in EXECUTORS:
-            raise EngineError(
-                f"unknown executor {self.executor!r}; choose from: "
-                + ", ".join(EXECUTORS)
             )
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise EngineError(
@@ -149,7 +132,6 @@ class EngineConfig:
             "epsilon": repr(float(self.epsilon)),
             "shards": self.shards,
             "workers": self.workers,
-            "executor": self.executor,
             "seed": self.seed,
             "batch_size": self.batch_size,
             "summary_kwargs": dict(self.summary_kwargs),
@@ -164,17 +146,14 @@ class EngineConfig:
         # Older checkpoints may carry keys for retired settings, which are
         # ignored: ``lane`` (now read off each batch), ``routing`` (every
         # engine routes by arrival, so a hash-routed checkpoint continues by
-        # arrival) and ``merge_strategy`` (every fold is balanced).  The
-        # retired merge-built ``process`` executor restores onto ``serial``
-        # (``processes`` becomes ``thread`` in ``__post_init__``): shard
-        # payloads do not depend on the executor that built them.
-        executor = payload["executor"]
+        # arrival), ``merge_strategy`` (every fold is balanced) and
+        # ``executor`` (``workers`` alone decides; shard payloads do not
+        # depend on the thread that built them).
         return cls(
             summary=payload["summary"],
             epsilon=float(payload["epsilon"]),
             shards=int(payload["shards"]),
             workers=int(payload["workers"]),
-            executor="serial" if executor == "process" else executor,
             seed=int(payload["seed"]),
             batch_size=int(payload["batch_size"]),
             summary_kwargs=dict(payload.get("summary_kwargs", {})),

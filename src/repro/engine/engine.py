@@ -7,13 +7,12 @@ global quantile/rank queries by folding the shards through a balanced merge
 tree (:mod:`repro.engine.merge_tree`).  Everything is deterministic by
 construction: routing follows arrival order and never reads a value
 (:mod:`repro.engine.routing`), shard summaries are seeded per shard, and
-each shard is only ever touched by one thread at a time — so serial,
-threaded and re-run executions produce bit-identical shard states, and an
+each shard is only ever touched by one thread at a time — so runs with any
+``workers`` count, and re-runs, produce bit-identical shard states, and an
 order-preserving relabelling of the input leaves every comparison-based
-shard in the same state (Definition 2.1).  The engine owns its shards;
-batches reach them through a :class:`~repro.engine.workers.base.ShardExecutor`
-(:mod:`repro.engine.workers`): ``serial`` applies each batch in the calling
-thread, ``thread`` applies busy shards from a thread pool.
+shard in the same state (Definition 2.1).  The engine owns its shards and
+feeds them itself: with ``workers == 1`` in the calling thread, with more
+from a thread pool it holds until :meth:`~ShardedQuantileEngine.close`.
 
 The engine checkpoints to JSONL (:mod:`repro.engine.checkpoint`) built on
 :mod:`repro.persistence`, and tracks its own health with
@@ -25,6 +24,7 @@ matter) plus exact counters.
 from __future__ import annotations
 
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,11 +35,12 @@ import repro.summaries  # noqa: F401  (registers summary types and merges)
 from repro.engine import checkpoint as checkpoint_io
 from repro.engine.config import EngineConfig
 from repro.engine.merge_tree import fold_shards
+from repro.engine.routing import fast_int_buckets, route_batch
 from repro.engine.telemetry import Telemetry
 from repro.errors import EngineError, MalformedRecordError
 from repro.model.lanes import promote_to_columnar
 from repro.model.rankindex import RankIndex, compile_rank_index
-from repro.model.registry import create_summary
+from repro.model.registry import create_summary, get_descriptor
 from repro.obs import spans as obs_spans
 from repro.model.summary import QuantileSummary, exact_fraction
 from repro.persistence import load as load_summary
@@ -132,10 +133,14 @@ class ShardedQuantileEngine:
         self._read_index = None
         self._read_index_generation = -1
         self._read_generation = 0
-        from repro.engine.workers import create_executor
-
-        self._executor = create_executor(self.config)
-        self._executor.bind(self)
+        self._columnar = get_descriptor(self.config.summary).columnar
+        # Busy shards overlap only inside native kernels, which release the
+        # GIL; one pool lives from here to close().
+        self._pool = (
+            ThreadPoolExecutor(max_workers=self.config.workers)
+            if self.config.workers > 1
+            else None
+        )
 
     def _make_shard_summary(self, index: int) -> QuantileSummary:
         return create_summary(
@@ -143,11 +148,6 @@ class ShardedQuantileEngine:
         )
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def executor(self):
-        """The bound :class:`~repro.engine.workers.base.ShardExecutor`."""
-        return self._executor
 
     @property
     def shard_summaries(self) -> Sequence[QuantileSummary]:
@@ -176,7 +176,7 @@ class ShardedQuantileEngine:
             "engine.ingest",
             shards=self.config.shards,
             summary=self.config.summary,
-            executor=self.config.executor,
+            workers=self.config.workers,
         ) as ingest_span:
             for batch in _chunks(values, batch_size):
                 self._ingest_batch(batch)
@@ -197,8 +197,9 @@ class ShardedQuantileEngine:
         with obs_spans.span(
             "engine.ingest_batch", items=len(values)
         ) as batch_span:
-            items, busy = self._executor.apply_batch(values, self._items_ingested)
+            busy = self._apply_batch(values)
             batch_span.set(busy_shards=busy)
+        items = len(values)
         self._items_ingested += items
         self._batches += 1
         self._merged = None
@@ -209,6 +210,36 @@ class ShardedQuantileEngine:
         self.telemetry.record_latency(
             "ingest_batch", perf_counter_ns() - batch_started
         )
+
+    def _apply_batch(self, values: Sequence) -> int:
+        """Route one raw batch by arrival and feed it; return the busy shards.
+
+        The lane is a property of the batch.  When every value is faithful
+        to an int (the :func:`fast_int_buckets` contract) and the summary
+        type is columnar-capable, the raw int buckets feed
+        ``process_numeric``; anything else — non-integral values, malformed
+        records, summary types without a columnar lane — takes the exact
+        Fraction path, which owns both the semantics and the errors, and
+        raises before any shard mutates.  Each busy shard gets one call, so
+        no shard is touched by two threads.
+        """
+        shards = self.config.shards
+        buckets = None
+        if self._columnar:
+            buckets = fast_int_buckets(values, shards, self._items_ingested)
+        if buckets is not None:
+            feed = self._feed_shard_numeric
+        else:
+            fractions = [as_fraction(value) for value in values]
+            buckets = route_batch(fractions, shards, self._items_ingested)
+            feed = self._feed_shard
+        busy = [index for index, bucket in enumerate(buckets) if bucket]
+        if self._pool is not None and len(busy) > 1:
+            list(self._pool.map(lambda index: feed(index, buckets[index]), busy))
+        else:
+            for index in busy:
+                feed(index, buckets[index])
+        return len(busy)
 
     def _feed_shard(self, index: int, values: list[Fraction]) -> None:
         # process_many dispatches to the shard type's batch kernel when one
@@ -345,12 +376,14 @@ class ShardedQuantileEngine:
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the executor's thread pool (idempotent).
+        """Release the thread pool, if any (idempotent).
 
-        The engine stays fully usable after close: a closed ``thread``
-        executor applies batches in the calling thread.
+        The engine stays fully usable after close: it then applies batches
+        in the calling thread.
         """
-        self._executor.close()
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def __enter__(self) -> "ShardedQuantileEngine":
         return self
@@ -366,7 +399,6 @@ class ShardedQuantileEngine:
         ingest_seconds = self.telemetry.operation_seconds("ingest_batch")
         return {
             "config": self.config.to_payload(),
-            "executor": self._executor.describe(),
             "items_ingested": self._items_ingested,
             "batches_ingested": self._batches,
             "throughput": {

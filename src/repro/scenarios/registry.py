@@ -76,8 +76,7 @@ class Scenario:
     engine_epsilon: float = 0.02
     shards: int = 2
     audit_fraction: float = 0.25
-    #: Engine executor for self-hosted runs (``serial``/``thread``).
-    executor: str = "serial"
+    #: Threads feeding the engine's busy shards in self-hosted runs.
     workers: int = 1
     #: Writer wire dialect (``ndjson``/``frames``, see docs/service.md).
     wire: str = "ndjson"
@@ -148,7 +147,6 @@ class Scenario:
             "summary": self.summary,
             "engine_epsilon": self.engine_epsilon,
             "shards": self.shards,
-            "executor": self.executor,
             "workers": self.workers,
         }
         if self.wire_matrix:

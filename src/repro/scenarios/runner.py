@@ -404,7 +404,6 @@ async def _run_self_hosted(
             summary=scenario.summary,
             epsilon=scenario.engine_epsilon,
             shards=scenario.shards,
-            executor=scenario.executor,
             workers=scenario.workers,
         ),
         config=ServiceConfig(

@@ -174,7 +174,7 @@ def _combine_payloads(payloads: list):
 
     All-buffer flushes of one typecode concatenate into a single
     contiguous buffer (a C-level ``memcpy`` per job); anything mixed
-    flattens to a list the executor routes value by value.  The engine
+    flattens to a list the engine routes value by value.  The engine
     reads the lane off the combined batch itself, so integral rationals
     and raw ints need no conversion here.
     """
@@ -331,7 +331,7 @@ class QuantileService:
            no ack is lost with its socket and no read runs against a
            closed engine;
         4. checkpoint the engine if configured, then close it (releasing
-           the ``thread`` executor's pool);
+           its thread pool when ``workers > 1``);
         5. close remaining client sockets and wait for every connection
            handler to return, so none is left for the loop's teardown to
            cancel (:meth:`_unwind_handlers`).

@@ -15,7 +15,7 @@ from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, build_index
 from repro.model.registry import merge_by_absorbing, register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
-from repro.persistence import decode_key, encode_key
+from repro.persistence import decode_key, encode_key, epsilon_of
 from repro.universe.item import Item
 from repro.universe.universe import Universe
 
@@ -93,7 +93,7 @@ def _encode_exact(summary: ExactSummary) -> dict:
 
 
 def _decode_exact(payload: dict, universe: Universe) -> ExactSummary:
-    summary = ExactSummary()
+    summary = ExactSummary(epsilon_of(payload))
     for key in payload["items"]:
         summary._items.add(universe.item(decode_key(key)))
     return summary

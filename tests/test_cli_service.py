@@ -36,6 +36,8 @@ class TestParsers:
             build_parser().parse_args(["serve", "--wire", "ndjson"])
         with pytest.raises(SystemExit):  # shards stay in the server's process
             build_parser().parse_args(["serve", "--executor", "processes"])
+        with pytest.raises(SystemExit):  # --workers alone picks the threads
+            build_parser().parse_args(["serve", "--executor", "thread"])
         with pytest.raises(SystemExit, match="drain_timeout_s"):
             _run(["serve", "--port", "0", "--drain-timeout", "0"])
 

@@ -7,7 +7,7 @@ columnar-capable summary type, feeding raw numerics through
 checkpoint-identical, and answer-identical to the items lane — across
 negative ints, bools, int-valued floats, ints beyond int64 (which fall off
 the native kernel), mixed-lane streams (demotion), merges, the engine's
-executors, and the persistence round-trip.
+inline and thread-pool feeding, and the persistence round-trip.
 """
 
 import json
@@ -252,8 +252,8 @@ def _assert_matches_reference(engine, batches):
     ]
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_engine_lane_equivalence(executor):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "thread"])
+def test_engine_lane_equivalence(workers):
     """Integer input runs columnar and matches a per-item Item reference."""
     rng = random.Random(31)
     values = [rng.randint(10, 10**6) for _ in range(2500)]
@@ -262,8 +262,7 @@ def test_engine_lane_equivalence(executor):
     mixed = [rng.randint(10, 10**6) for _ in range(300)] + [2.5]
     for summary in ("gk", "kll", "mrl"):
         config = EngineConfig(
-            summary=summary, epsilon=0.02, shards=3, workers=2,
-            executor=executor, seed=4,
+            summary=summary, epsilon=0.02, shards=3, workers=workers, seed=4,
         )
         with ShardedQuantileEngine(config) as engine:
             for batch in batches:
@@ -287,24 +286,20 @@ def test_engine_lane_equivalence(executor):
 
 def test_engine_stats_reports_shard_lane():
     """stats() reports the lane each shard's input put it on."""
-    for executor in ("serial", "thread"):
-        config = EngineConfig(
-            summary="gk", epsilon=0.05, shards=2, executor=executor, workers=2
-        )
+    for workers in (1, 2):
+        config = EngineConfig(summary="gk", epsilon=0.05, shards=2, workers=workers)
         with ShardedQuantileEngine(config) as engine:
             engine.ingest([1, 2, 3, 4, 5, 6, 7, 8], batch_size=4)
             lanes = {shard["lane"] for shard in engine.stats()["shards"]}
-            assert lanes == {"columnar"}, executor
+            assert lanes == {"columnar"}, workers
             engine.ingest([Fraction(1, 3)])
             lanes = [shard["lane"] for shard in engine.stats()["shards"]]
-            assert "items" in lanes, executor
-        config = EngineConfig(
-            summary="mrl", epsilon=0.05, shards=2, executor=executor, workers=2
-        )
+            assert "items" in lanes, workers
+        config = EngineConfig(summary="mrl", epsilon=0.05, shards=2, workers=workers)
         with ShardedQuantileEngine(config) as engine:
             engine.ingest([1, 2, 3, 4, 5, 6, 7, 8], batch_size=4)
             lanes = {shard["lane"] for shard in engine.stats()["shards"]}
-            assert lanes == {"items"}, executor
+            assert lanes == {"items"}, workers
 
 
 def test_engine_malformed_record_semantics_unchanged():

@@ -45,7 +45,7 @@ class TestConfig:
             ({"batch_size": 0}, "batch_size"),
             ({"epsilon": 0.0}, "epsilon"),
             ({"epsilon": 1.5}, "epsilon"),
-            ({"executor": "gpu"}, "executor"),
+            ({"workers": 0}, "workers"),
         ],
     )
     def test_bad_config_raises_engine_error(self, kwargs, fragment):
@@ -54,15 +54,19 @@ class TestConfig:
 
     def test_payload_round_trip(self):
         config = EngineConfig(
-            summary="kll", epsilon=0.02, shards=3, workers=2, executor="thread",
+            summary="kll", epsilon=0.02, shards=3, workers=2,
             seed=9, batch_size=128,
         )
         assert EngineConfig.from_payload(config.to_payload()) == config
 
     def test_retired_processes_executor_builds_as_thread(self):
-        config = EngineConfig(summary="kll", executor="processes", workers=2)
-        assert config.executor == "thread"
-        assert config.to_payload()["executor"] == "thread"
+        # A ``processes`` config kept its ``workers``: it restores onto a
+        # pool of that many threads, and writes no executor key again.
+        payload = EngineConfig(summary="kll", workers=2).to_payload()
+        payload["executor"] = "processes"
+        config = EngineConfig.from_payload(payload)
+        assert config == EngineConfig(summary="kll", workers=2)
+        assert "executor" not in config.to_payload()
 
     def test_seeded_summaries_get_distinct_shard_seeds(self):
         config = EngineConfig(summary="kll", seed=100)
@@ -232,11 +236,11 @@ class TestEngineIngestAndQuery:
     def test_executors_agree_exactly(self):
         values = _values(6000)
         answers = []
-        for executor, workers in (("serial", 1), ("thread", 4)):
+        for workers in (1, 4):
             with ShardedQuantileEngine(
                 EngineConfig(
                     summary="kll", shards=4, workers=workers,
-                    executor=executor, seed=5, batch_size=1000,
+                    seed=5, batch_size=1000,
                 )
             ) as engine:
                 engine.ingest(values)
@@ -341,6 +345,13 @@ class TestCheckpointRestore:
         assert [s.fingerprint() for s in restored.shard_summaries] == [
             s.fingerprint() for s in engine.shard_summaries
         ]
+        # checkpoint -> restore -> checkpoint leaves the shard records as
+        # they were, epsilon included.
+        again = tmp_path / "again.jsonl"
+        restored.checkpoint(again)
+        assert read_checkpoint(again)["shard_payloads"] == read_checkpoint(
+            path
+        )["shard_payloads"]
 
     def test_mid_run_checkpoint_then_resume_matches_straight_run(self, tmp_path):
         values = _values(6000)

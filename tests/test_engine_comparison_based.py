@@ -30,17 +30,19 @@ def _relabel(value: int) -> int:
 
 
 @pytest.mark.parametrize("summary", ["gk", "gk-greedy", "kll"])
-@pytest.mark.parametrize("shards, executor", [(2, "serial"), (4, "thread")])
+@pytest.mark.parametrize(
+    "shards, workers", [(2, 1), (4, 4)], ids=["2-serial", "4-thread"]
+)
 def test_order_preserving_relabelling_leaves_the_engine_state_unchanged(
-    summary, shards, executor
+    summary, shards, workers
 ):
     rng = random.Random(23)
     values = [rng.randint(-(10**6), 10**6) for _ in range(20_000)]
     states = []
     for stream in (values, [_relabel(value) for value in values]):
         config = EngineConfig(
-            summary=summary, epsilon=0.01, shards=shards, workers=shards,
-            executor=executor, seed=5, batch_size=1000,
+            summary=summary, epsilon=0.01, shards=shards, workers=workers,
+            seed=5, batch_size=1000,
         )
         with ShardedQuantileEngine(config) as engine:
             engine.ingest(stream)
@@ -64,14 +66,13 @@ class EngineSummary(QuantileSummary):
 
     def __init__(
         self, epsilon: float, summary: str = "gk", shards: int = 2,
-        executor: str = "serial",
+        workers: int = 1,
     ) -> None:
         super().__init__(epsilon)
         self.name = f"engine-{summary}"
         self.engine = ShardedQuantileEngine(
             EngineConfig(
-                summary=summary, epsilon=epsilon, shards=shards,
-                workers=shards, executor=executor,
+                summary=summary, epsilon=epsilon, shards=shards, workers=workers,
             )
         )
 
@@ -109,19 +110,20 @@ def _single_peak(summary: str, k: int) -> int:
 
 @pytest.mark.parametrize("summary", ["gk", "gk-greedy"])
 @pytest.mark.parametrize(
-    "executor, shards, k",
-    # A one-item batch has one busy shard, so ``thread`` feeds it inline
-    # like ``serial``; its cases run one level shallower to fit the budget.
-    [("serial", 2, 6), ("serial", 4, 5), ("thread", 2, 5), ("thread", 4, 4)],
+    "workers, shards, k",
+    # A one-item batch has one busy shard, so a pooled engine feeds it
+    # inline too; its cases run one level shallower to fit the budget.
+    [(1, 2, 6), (1, 4, 5), (2, 2, 5), (4, 4, 4)],
+    ids=["serial-2-6", "serial-4-5", "thread-2-5", "thread-4-4"],
 )
 def test_the_adversary_keeps_its_streams_indistinguishable_to_the_engine(
-    summary, executor, shards, k
+    summary, workers, shards, k
 ):
     # build_adversarial_pair validates Definition 3.2 after every node and
     # raises IndistinguishabilityViolation on the first divergence.
     epsilon = 1 / 16
     result = build_adversarial_pair(
-        lambda eps: EngineSummary(eps, summary, shards, executor),
+        lambda eps: EngineSummary(eps, summary, shards, workers),
         epsilon=epsilon, k=k,
     )
     assert result.length == 16 * 2**k

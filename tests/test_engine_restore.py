@@ -94,27 +94,28 @@ def rewrite_config(path, **changes) -> None:
 
 
 class TestLegacyCheckpoints:
-    """Checkpoints naming retired settings: a lane, ``process``,
-    ``processes``, a routing or a merge strategy.  Each restores, then
-    routes by arrival and folds balanced.
+    """Checkpoints naming retired settings: a lane, an executor (``serial``,
+    ``thread``, ``process`` or ``processes``), a routing or a merge
+    strategy.  Each restores with ``workers`` as written, then routes by
+    arrival and folds balanced.
     """
 
     @pytest.mark.parametrize(
-        "changes, executor",
+        "changes",
         [
-            ({"lane": "items"}, "serial"),
-            ({"lane": "columnar"}, "serial"),
-            ({"executor": "process"}, "serial"),
-            ({"executor": "process", "lane": "items"}, "serial"),
-            ({"routing": "hash"}, "serial"),
-            ({"routing": "round-robin"}, "serial"),
-            ({"merge_strategy": "left"}, "serial"),
-            ({"executor": "processes", "workers": 2}, "thread"),
+            {"lane": "items"},
+            {"lane": "columnar"},
+            {"executor": "process"},
+            {"executor": "process", "lane": "items"},
+            {"routing": "hash"},
+            {"routing": "round-robin"},
+            {"merge_strategy": "left"},
+            {"executor": "processes", "workers": 2},
+            {"executor": "serial", "workers": 3},
+            {"executor": "thread", "workers": 1},
         ],
     )
-    def test_legacy_config_restores_to_the_same_answers(
-        self, tmp_path, changes, executor
-    ):
+    def test_legacy_config_restores_to_the_same_answers(self, tmp_path, changes):
         values = [v * 7919 % 100_003 for v in range(3000)]
         straight = make_engine()
         straight.ingest(values)
@@ -126,15 +127,12 @@ class TestLegacyCheckpoints:
         rewrite_config(path, **changes)
 
         restored = ShardedQuantileEngine.restore(path)
-        # Shard payloads do not depend on the executor that built them, so
-        # the retired merge-built ``process`` executor restores onto serial
-        # and the retired worker-process ``processes`` onto thread.
+        # Shard payloads do not depend on the thread that built them, so
+        # every retired executor restores with its ``workers`` as written.
         assert restored.config == replace(
             interrupted.config,
-            executor=executor,
             workers=changes.get("workers", interrupted.config.workers),
         )
-        assert restored.executor.kind == executor
         restored.ingest(values[1000:])
         assert shard_payloads(restored) == shard_payloads(straight)
         phis = [0.01, 0.25, 0.5, 0.75, 0.99]
@@ -144,13 +142,13 @@ class TestLegacyCheckpoints:
         again = tmp_path / "again.jsonl"
         restored.checkpoint(again)
         header = json.loads(again.read_text().splitlines()[0])
-        for retired in ("lane", "routing", "merge_strategy"):
+        for retired in ("lane", "routing", "merge_strategy", "executor"):
             assert retired not in header["config"]
-        assert header["config"]["executor"] == executor
+        restored.close()
 
     def test_process_executor_is_not_a_config_choice(self):
-        with pytest.raises(EngineError, match="process"):
-            EngineConfig(summary="gk", executor="process").validate()
+        with pytest.raises(TypeError, match="executor"):
+            EngineConfig(summary="gk", executor="process")
 
 
 class TestAsFractionErrors:

@@ -33,7 +33,7 @@ FACTORIES = {
     "req": lambda: RelativeErrorSketch(1 / 4, k=16, seed=5),
     "mrl": lambda: MRL(1 / 16, n_hint=2000),
     "capped": lambda: CappedSummary(1 / 16, budget=12),
-    "exact": lambda: ExactSummary(),
+    "exact": lambda: ExactSummary(1 / 100),
     "sampling": lambda: ReservoirSampling(1 / 8, m=64, seed=5),
     "sampled-gk": lambda: SampledGK(1 / 8, n_hint=500, seed=5),
     "offline": lambda: OfflineOptimal(1 / 16),
@@ -71,6 +71,7 @@ class TestRoundTrip:
         assert restored.n == summary.n
         assert restored.max_item_count == summary.max_item_count
         assert restored.epsilon == pytest.approx(summary.epsilon)
+        assert dump(restored) == dump(summary)
 
     def test_item_array_values_preserved(self, name):
         universe = Universe()

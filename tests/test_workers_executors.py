@@ -1,10 +1,11 @@
-"""The shard executors: factory, thread pool, bit-identity with serial.
+"""The engine's ``workers`` axis: inline feeding, thread pool, bit-identity.
 
 The load-bearing property here is the determinism contract: a shard is a
-deterministic function of the value subsequence routed to it, so the
-``thread`` executor — one pool task per busy shard — must leave
-byte-identical shard state behind.  Every test in this file is some
-projection of that claim: identical checkpoint records, identical answers.
+deterministic function of the value subsequence routed to it, so an engine
+with ``workers > 1`` — one pool task per busy shard — must leave the
+byte-identical shard state that ``workers=1`` (the calling thread) leaves.
+Every test in this file is some projection of that claim: identical
+checkpoint records, identical answers.
 """
 
 import random
@@ -14,14 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    EngineConfig,
-    ShardedQuantileEngine,
-    create_executor,
-    read_checkpoint,
-)
-from repro.engine.workers import inline
-from repro.errors import EngineError
+from repro.engine import EngineConfig, ShardedQuantileEngine, read_checkpoint
+from repro.engine import engine as engine_module
 
 
 def _values(n, seed=7, bound=10**6):
@@ -34,15 +29,14 @@ def _shard_records(path):
 
 
 class TestExecutorFactory:
-    def test_unknown_kind_raises_engine_error(self):
-        config = EngineConfig(summary="gk")
-        config.executor = "gpu"
-        with pytest.raises(EngineError, match="gpu"):
-            create_executor(config)
+    def test_serial_is_the_default(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not build a thread pool")
 
-    def test_serial_is_the_default(self):
-        engine = ShardedQuantileEngine(EngineConfig(summary="gk"))
-        assert engine.executor.kind == "serial"
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", no_pool)
+        with ShardedQuantileEngine(EngineConfig(summary="gk")) as engine:
+            assert engine.config.workers == 1
+            engine.ingest(_values(100))
 
 
 class TestThreadBitIdentity:
@@ -50,19 +44,17 @@ class TestThreadBitIdentity:
     def test_checkpoints_are_byte_identical_to_serial(self, tmp_path, summary):
         values = _values(4000)
         paths = {}
-        for executor, workers in (("serial", 1), ("thread", 3)):
+        for workers in (1, 3):
             config = EngineConfig(
                 summary=summary, epsilon=0.05, shards=4,
-                executor=executor, workers=workers, seed=3, batch_size=512,
+                workers=workers, seed=3, batch_size=512,
             )
             with ShardedQuantileEngine(config) as engine:
                 engine.ingest(values)
-                path = tmp_path / f"{executor}.jsonl"
+                path = tmp_path / f"workers-{workers}.jsonl"
                 engine.checkpoint(path)
-                paths[executor] = path
-        assert _shard_records(paths["serial"]) == _shard_records(
-            paths["thread"]
-        )
+                paths[workers] = path
+        assert _shard_records(paths[1]) == _shard_records(paths[3])
 
     def test_mixed_value_types_land_identically(self, tmp_path):
         values = []
@@ -72,29 +64,24 @@ class TestThreadBitIdentity:
             values.append(Fraction(rng.randint(0, 100), rng.randint(1, 7)))
             values.append(rng.random())
         paths = {}
-        for executor in ("serial", "thread"):
+        for workers in (1, 2):
             config = EngineConfig(
                 summary="gk", epsilon=0.05, shards=3,
-                executor=executor, workers=2, batch_size=700,
+                workers=workers, batch_size=700,
             )
             with ShardedQuantileEngine(config) as engine:
                 engine.ingest(values)
-                path = tmp_path / f"{executor}.jsonl"
+                path = tmp_path / f"workers-{workers}.jsonl"
                 engine.checkpoint(path)
-                paths[executor] = path
-        assert _shard_records(paths["serial"]) == _shard_records(
-            paths["thread"]
-        )
+                paths[workers] = path
+        assert _shard_records(paths[1]) == _shard_records(paths[2])
 
     def test_queries_match_serial_between_ingests(self):
         values = _values(6000)
         serial = ShardedQuantileEngine(
             EngineConfig(summary="gk", shards=4, epsilon=0.02)
         )
-        config = EngineConfig(
-            summary="gk", shards=4, epsilon=0.02,
-            executor="thread", workers=2,
-        )
+        config = EngineConfig(summary="gk", shards=4, epsilon=0.02, workers=2)
         with ShardedQuantileEngine(config) as pooled:
             serial.ingest(values[:3000])
             pooled.ingest(values[:3000])
@@ -111,15 +98,13 @@ class TestThreadBitIdentity:
 
     def test_restore_then_ingest_matches_a_straight_run(self, tmp_path):
         values = _values(3000)
-        config = EngineConfig(
-            summary="kll", shards=3, seed=9, executor="thread", workers=2,
-        )
+        config = EngineConfig(summary="kll", shards=3, seed=9, workers=2)
         path = tmp_path / "ckpt.jsonl"
         with ShardedQuantileEngine(config) as engine:
             engine.ingest(values[:2000])
             engine.checkpoint(path)
         with ShardedQuantileEngine.restore(path) as resumed:
-            assert resumed.executor.kind == "thread"
+            assert resumed.config.workers == 2
             resumed.ingest(values[2000:])
             straight = ShardedQuantileEngine(
                 EngineConfig(summary="kll", shards=3, seed=9)
@@ -145,14 +130,12 @@ class TestThreadBitIdentity:
             "integral fractions": [Fraction(v) for v in _values(3000)],
             "halves": [Fraction(v, 2) for v in _values(3000, bound=10**4)],
         }[kind]
-        for executor in ("serial", "thread"):
-            config = EngineConfig(
-                summary="kll", shards=2, seed=5, executor=executor, workers=2,
-            )
+        for workers in (1, 2):
+            config = EngineConfig(summary="kll", shards=2, seed=5, workers=workers)
             with ShardedQuantileEngine(config) as engine:
                 engine.ingest(values, batch_size=700)
                 lanes = [entry["lane"] for entry in engine.stats()["shards"]]
-            assert lanes == [lane, lane], executor
+            assert lanes == [lane, lane], workers
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -163,10 +146,10 @@ class TestThreadBitIdentity:
     )
     def test_executor_axis_preserves_every_answer(self, values, shards):
         answers = []
-        for executor in ("serial", "thread"):
+        for workers in (1, 2):
             config = EngineConfig(
                 summary="gk", epsilon=0.1, shards=shards,
-                executor=executor, workers=2, batch_size=32,
+                workers=workers, batch_size=32,
             )
             with ShardedQuantileEngine(config) as engine:
                 engine.ingest(values)
@@ -180,38 +163,43 @@ class TestThreadBitIdentity:
         assert answers[0] == answers[1]
 
 
-class TestThreadExecutor:
+class TestThreadPool:
     def test_one_pool_per_executor_then_inline_after_close(
         self, tmp_path, monkeypatch
     ):
         pools = []
+        maps = []
 
-        class CountingPool(inline.ThreadPoolExecutor):
+        class CountingPool(engine_module.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(inline, "ThreadPoolExecutor", CountingPool)
+            def map(self, *args, **kwargs):
+                maps.append(self)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", CountingPool)
         engines = {
-            executor: ShardedQuantileEngine(
-                EngineConfig(
-                    summary="gk", epsilon=0.05, shards=4,
-                    executor=executor, workers=2,
-                )
+            workers: ShardedQuantileEngine(
+                EngineConfig(summary="gk", epsilon=0.05, shards=4, workers=workers)
             )
-            for executor in ("serial", "thread")
+            for workers in (1, 2)
         }
         values = _values(5000)
         for start in range(0, 4000, 200):  # 20 ingest calls
             for engine in engines.values():
                 engine.ingest(values[start : start + 200])
         assert len(pools) == 1
-        engines["thread"].close()
+        assert len(maps) == 20
+        engines[2].close()
+        engines[2].close()  # idempotent
         for engine in engines.values():
             engine.ingest(values[4000:])
         assert len(pools) == 1
-        for executor, engine in engines.items():
-            engine.checkpoint(tmp_path / f"{executor}.jsonl")
-        assert _shard_records(tmp_path / "serial.jsonl") == _shard_records(
-            tmp_path / "thread.jsonl"
+        assert len(maps) == 20  # a closed engine feeds its shards inline
+        for workers, engine in engines.items():
+            engine.checkpoint(tmp_path / f"workers-{workers}.jsonl")
+        assert _shard_records(tmp_path / "workers-1.jsonl") == _shard_records(
+            tmp_path / "workers-2.jsonl"
         )
