@@ -17,9 +17,13 @@ Final engine states are asserted identical before any timing is trusted.
     PYTHONPATH=src python benchmarks/bench_connectors.py            # full run
     PYTHONPATH=src python benchmarks/bench_connectors.py --smoke    # CI-sized
 
-Each run appends an entry to ``benchmarks/results/BENCH_connectors.json``
-and exits nonzero if the no-per-batch-checkpoint connector path costs more
-than ``--max-overhead`` (default 3.0x) of the plain read.
+Plain and connector ingest are timed in ``ROUNDS`` alternating rounds and
+the gate reads the median of the per-round ratios: one ~0.1 s timing pair
+is too noisy to gate on (single pairs spread from 1.7x to 3.7x on an
+unchanged tree on a 2-vCPU VM).  Each run appends an entry, every round
+included, to ``benchmarks/results/BENCH_connectors.json`` and exits nonzero
+if the median no-per-batch-checkpoint connector ratio exceeds
+``--max-overhead`` (default 3.0x) of the plain read.
 """
 
 import sys
@@ -34,6 +38,7 @@ CONNECTOR_RESULTS_PATH = (
 )
 
 POISON_EVERY = 50  # one malformed line per POISON_EVERY records
+ROUNDS = 5  # alternating plain/connector timing rounds; the gate reads the median
 
 
 def _write_stream(path: Path, count: int, seed: int) -> None:
@@ -150,30 +155,51 @@ def main(argv=None) -> int:
         _write_stream(source_path, count, args.seed)
         source_bytes = source_path.stat().st_size
 
-        plain_engine, plain_ns = _plain_ingest(source_path)
-        connector_engine, connector_ns = _connector_ingest(
-            source_path, work_dir, "endonly", checkpoint_every=0
-        )
+        rounds = []
+        for index in range(ROUNDS):
+            plain_engine, plain_ns = _plain_ingest(source_path)
+            connector_engine, connector_ns = _connector_ingest(
+                source_path, work_dir, f"endonly{index}", checkpoint_every=0
+            )
+            oracle = _state(plain_engine)
+            assert _state(connector_engine) == oracle, "connector state diverged"
+            rounds.append(
+                {
+                    "plain_seconds": round(plain_ns / 1e9, 6),
+                    "connector_seconds": round(connector_ns / 1e9, 6),
+                    "connector_overhead": round(connector_ns / max(plain_ns, 1), 3),
+                }
+            )
+            print(
+                f"round {index + 1}/{ROUNDS}: plain {plain_ns / 1e9:.3f}s, "
+                f"connector {connector_ns / 1e9:.3f}s "
+                f"(x{rounds[-1]['connector_overhead']})"
+            )
         durable_engine, durable_ns = _connector_ingest(
             source_path, work_dir, "perbatch", checkpoint_every=1
         )
-
-        oracle = _state(plain_engine)
-        assert _state(connector_engine) == oracle, "connector state diverged"
         assert _state(durable_engine) == oracle, "durable state diverged"
 
     ingested = plain_engine.items_ingested
+    median = sorted(rounds, key=lambda entry: entry["connector_overhead"])[
+        ROUNDS // 2
+    ]
     runs = {
-        "plain_seconds": round(plain_ns / 1e9, 6),
-        "connector_seconds": round(connector_ns / 1e9, 6),
+        "plain_seconds": median["plain_seconds"],
+        "connector_seconds": median["connector_seconds"],
         "connector_checkpointed_seconds": round(durable_ns / 1e9, 6),
-        "connector_overhead": round(connector_ns / max(plain_ns, 1), 3),
-        "checkpointed_overhead": round(durable_ns / max(plain_ns, 1), 3),
-        "records_per_second": round(count / max(connector_ns / 1e9, 1e-9)),
+        "connector_overhead": median["connector_overhead"],
+        "checkpointed_overhead": round(
+            durable_ns / max(median["plain_seconds"] * 1e9, 1), 3
+        ),
+        "records_per_second": round(
+            count / max(median["connector_seconds"], 1e-9)
+        ),
+        "rounds": rounds,
     }
     print(
-        f"n={count} ({source_bytes:,} bytes, {ingested} ingested): "
-        f"plain {runs['plain_seconds']:.3f}s, connector "
+        f"n={count} ({source_bytes:,} bytes, {ingested} ingested), median of "
+        f"{ROUNDS} rounds: plain {runs['plain_seconds']:.3f}s, connector "
         f"{runs['connector_seconds']:.3f}s "
         f"(x{runs['connector_overhead']}), with per-batch checkpoints "
         f"{runs['connector_checkpointed_seconds']:.3f}s "
@@ -204,8 +230,8 @@ def main(argv=None) -> int:
 
     if runs["connector_overhead"] > args.max_overhead:
         print(
-            f"FAIL: connector overhead x{runs['connector_overhead']} exceeds "
-            f"the x{args.max_overhead} budget"
+            f"FAIL: median connector overhead x{runs['connector_overhead']} "
+            f"exceeds the x{args.max_overhead} budget"
         )
         return 1
     return 0

@@ -40,7 +40,7 @@ from repro.connectors.offsets import OffsetStore
 from repro.engine.engine import ShardedQuantileEngine, as_fraction
 from repro.errors import ConnectorError, MalformedRecordError
 from repro.obs import spans as obs_spans
-from repro.obs.registry import MetricRegistry
+from repro.obs.registry import Counter, MetricRegistry
 from repro.service.client import QuantileClient
 
 
@@ -274,6 +274,10 @@ class IngestRunner:
             self.dlq.registry = self.registry
         self.config = (config if config is not None else RunnerConfig()).validate()
         self._stop_requested = False
+        # connector_records_total per source, looked up once: the registry
+        # lookup validates names and labels, which per record cost more
+        # than parsing the record.
+        self._records_counters: dict[str, Counter] = {}
 
     # -- control -------------------------------------------------------------------
 
@@ -289,11 +293,14 @@ class IngestRunner:
     # -- metric helpers ------------------------------------------------------------
 
     def _count_records(self, source: str, amount: int = 1) -> None:
-        self.registry.counter(
-            "connector_records_total",
-            help="records consumed from sources, parseable or not",
-            source=source,
-        ).inc(amount)
+        counter = self._records_counters.get(source)
+        if counter is None:
+            counter = self._records_counters[source] = self.registry.counter(
+                "connector_records_total",
+                help="records consumed from sources, parseable or not",
+                source=source,
+            )
+        counter.inc(amount)
 
     def _count_ingested(self, source: str, amount: int) -> None:
         self.registry.counter(

@@ -1,27 +1,34 @@
 """On-demand-compiled native kernels for the columnar numeric lane.
 
 The columnar lane (docs/model.md, "Lanes") stores raw numeric keys instead
-of :class:`~repro.universe.item.Item` wrappers, which makes two summary
+of :class:`~repro.universe.item.Item` wrappers, which makes the summary
 loops expressible over flat ``int64`` arrays:
 
-* ``gk_batch`` (``gk_kernel.c``) — GK's insert/compress loop;
+* ``gk_batch`` (``gk_kernel.c``) — GK's insert/compress loop over tuple
+  columns the summary owns (``array('q')`` values, g and Delta, edited in
+  place and grown on demand): each compress-period chunk is stably sorted
+  and spliced into the tuples in one backward merge, and each compress is
+  one right-to-left pass;
+* ``gk_merge`` (``gk_kernel.c``) — ``merge_gk``'s fold of two such column
+  sets into fresh ones, so two columnar GK shards fold without Python;
 * ``kll_batch`` (``kll_kernel.c``) — KLL's level-0 fill and compaction
   cascade, drawing each coin from a port of CPython's Mersenne Twister so
-  the coin stream equals ``random.Random.randrange(2)``'s.
+  the coin stream equals ``random.Random.randrange(2)``'s.  KLL's levels and
+  generator words still cross every call as copies.
 
 Both sources are compiled into one library with the system C compiler the
-first time either kernel is needed (never at import), and driven through
+first time a kernel is needed (never at import), and driven through
 :mod:`ctypes`, which releases the GIL for the duration of each call.
 Buffers cross as raw addresses (``array.buffer_info()``): a per-call
 ``c_int64 * len`` view would create, and keep for the life of the process,
 one ctypes array type per distinct length.
 
 Nothing here is required for correctness: every caller treats a ``None``
-return as "take the pure-Python columnar path", and each kernel is an exact
-port of the Python semantics (state-identical GK tuples, ``n``,
-``since_compress`` and ``max_item_count``; state-identical KLL compactors,
-``n``, ``max_item_count``, draw count and generator state), which the
-lane-equivalence and kernel tests pin down.
+return as "take the pure-Python path", and each kernel is an exact port of
+the Python semantics (state-identical GK tuples, ``n``, ``since_compress``
+and ``max_item_count``, and ``merge_gk``'s merged tuples; state-identical
+KLL compactors, ``n``, ``max_item_count``, draw count and generator state),
+which the lane-equivalence and kernel tests pin down.
 
 Knobs:
 
@@ -134,15 +141,32 @@ def _load() -> ctypes.CDLL | None:
             _ADDRESS,  # vals
             _ADDRESS,  # gs
             _ADDRESS,  # deltas
-            ctypes.c_int64,  # size
+            ctypes.c_int64,  # capacity
             _ADDRESS,  # batch
             ctypes.c_int64,  # batch_len
-            _ADDRESS,  # state [n, since_compress, max_item_count]
+            _ADDRESS,  # state [n, since_compress, max_item_count, size, needed]
             ctypes.c_int64,  # period
             ctypes.c_int64,  # eps_p
             ctypes.c_int64,  # eps_q
             ctypes.c_int32,  # greedy
-            _ADDRESS,  # bands scratch
+        ]
+        lib.gk_merge.restype = ctypes.c_int64
+        lib.gk_merge.argtypes = [
+            _ADDRESS,  # vals_a
+            _ADDRESS,  # gs_a
+            _ADDRESS,  # deltas_a
+            ctypes.c_int64,  # size_a
+            _ADDRESS,  # vals_b
+            _ADDRESS,  # gs_b
+            _ADDRESS,  # deltas_b
+            ctypes.c_int64,  # size_b
+            _ADDRESS,  # state [n_a, n_b, max_item_count]
+            ctypes.c_int64,  # eps_p
+            ctypes.c_int64,  # eps_q
+            ctypes.c_int32,  # greedy
+            _ADDRESS,  # out vals
+            _ADDRESS,  # out gs
+            _ADDRESS,  # out deltas
         ]
         lib.kll_batch.restype = ctypes.c_int64
         lib.kll_batch.argtypes = [
@@ -174,76 +198,15 @@ def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
-def gk_batch(
-    values: list,
-    gs: list,
-    deltas: list,
-    batch: list,
-    n: int,
-    since_compress: int,
-    max_item_count: int,
-    period: int,
-    eps_p: int,
-    eps_q: int,
-    greedy: bool,
-):
-    """Apply ``batch`` to GK tuple state with the native insert loop.
+def available() -> bool:
+    """Whether the native kernels can run: not switched off, and compiled.
 
-    Returns ``(values, gs, deltas, n, since_compress, max_item_count)`` on
-    success, or ``None`` when the kernel is unavailable or the inputs are
-    outside its int64-safe envelope (huge ints, floats, enormous epsilon
-    fractions, streams past 2^40 items) — callers then run the pure-Python
-    columnar path, which is state-identical.
+    The first call compiles (or loads the cached) library.
     """
-    if native_disabled():
-        return None
-    lib = _load()
-    if lib is None:
-        return None
-    if eps_p >= _FRACTION_LIMIT or eps_q >= _FRACTION_LIMIT:
-        return None
-    if n + len(batch) >= _COUNT_LIMIT or period >= _COUNT_LIMIT:
-        return None
-    padding = bytes(8 * len(batch))
-    try:
-        vals_arr = array("q", values)
-        g_arr = array("q", gs)
-        d_arr = array("q", deltas)
-        batch_arr = array("q", batch)
-    except (OverflowError, TypeError):
-        return None
-    vals_arr.frombytes(padding)
-    g_arr.frombytes(padding)
-    d_arr.frombytes(padding)
-    bands = array("q", bytes(8 * len(vals_arr)))
-    state = array("q", [n, since_compress, max_item_count])
-    new_size = lib.gk_batch(
-        _address(vals_arr),
-        _address(g_arr),
-        _address(d_arr),
-        len(values),
-        _address(batch_arr),
-        len(batch),
-        _address(state),
-        period,
-        eps_p,
-        eps_q,
-        1 if greedy else 0,
-        _address(bands),
-    )
-    if new_size < 0 or new_size > len(vals_arr):  # pragma: no cover - guard
-        return None
-    return (
-        vals_arr[:new_size].tolist(),
-        g_arr[:new_size].tolist(),
-        d_arr[:new_size].tolist(),
-        state[0],
-        state[1],
-        state[2],
-    )
+    return not native_disabled() and _load() is not None
 
 
-def _int64_keys(values) -> array | None:
+def int64_array(values) -> array | None:
     """``values`` as an int64 buffer, or ``None`` unless every key is an
     exact ``int`` (bools and floats excluded) inside int64."""
     if isinstance(values, array):
@@ -254,6 +217,128 @@ def _int64_keys(values) -> array | None:
         return array("q", values)
     except OverflowError:
         return None
+
+
+def _gk_envelope(eps_p: int, eps_q: int, count: int) -> bool:
+    """The int64-safe envelope both GK kernels share."""
+    return eps_p < _FRACTION_LIMIT and eps_q < _FRACTION_LIMIT and count < _COUNT_LIMIT
+
+
+def _grow(columns: list, capacity: int) -> None:
+    padding = bytes(8 * (capacity - len(columns[0])))
+    for column in columns:
+        column.frombytes(padding)
+
+
+def gk_batch(
+    columns: list,
+    batch,
+    n: int,
+    since_compress: int,
+    max_item_count: int,
+    period: int,
+    eps_p: int,
+    eps_q: int,
+    greedy: bool,
+):
+    """Apply ``batch`` to GK tuple state held in owned int64 columns.
+
+    ``columns`` are the summary's values, g and Delta as ``array('q')``,
+    each holding exactly the live tuples.  The kernel edits them in place
+    and they hold exactly the new tuples on return.  Capacity grows on
+    demand (the kernel stops before a chunk that does not fit) and is
+    trimmed after the call, so no batch-sized buffer outlives it.
+
+    Returns ``(n, since_compress, max_item_count)`` on success, or ``None``,
+    with the columns untouched, when the kernel is unavailable or the inputs
+    are outside its int64-safe envelope (keys that are not int64 ints,
+    enormous epsilon fractions, streams past 2^40 items) — callers then run
+    the pure-Python path, which is state-identical.
+    """
+    if not available():
+        return None
+    if not _gk_envelope(eps_p, eps_q, n + len(batch)) or period >= _COUNT_LIMIT:
+        return None
+    keys = int64_array(batch)
+    if keys is None:
+        return None
+    total = len(keys)
+    state = array("q", [n, since_compress, max_item_count, len(columns[0]), 0])
+    _grow(columns, len(columns[0]) + min(total, period) + 16)
+    done = 0
+    while True:
+        vals, gs, deltas = columns
+        # Addresses are re-read every call: growing may move the buffers.
+        applied = _lib.gk_batch(
+            _address(vals),
+            _address(gs),
+            _address(deltas),
+            len(vals),
+            _address(keys) + 8 * done,
+            total - done,
+            _address(state),
+            period,
+            eps_p,
+            eps_q,
+            1 if greedy else 0,
+        )
+        if applied < 0:  # pragma: no cover - allocation failure
+            raise MemoryError("the native GK kernel could not allocate scratch")
+        done += applied
+        if done >= total:
+            break
+        _grow(columns, max(state[4], 2 * len(vals)))
+    for column in columns:
+        del column[state[3] :]
+    return state[0], state[1], state[2]
+
+
+def gk_merge(
+    first: tuple,
+    first_n: int,
+    second: tuple,
+    second_n: int,
+    max_item_count: int,
+    eps_p: int,
+    eps_q: int,
+    greedy: bool,
+):
+    """Merge two GK summaries' (values, g, Delta) columns natively.
+
+    ``max_item_count`` is the larger of the inputs'.  Returns
+    ``(columns, max_item_count)``, the merged and compressed tuples as
+    fresh ``array('q')`` columns, or ``None`` when the kernel is unavailable
+    or an input is outside the envelope :func:`gk_batch` keeps (a key that
+    is not an int64 int, a g below 1, a g, Delta or n past 2^40, unsorted
+    keys, an enormous epsilon fraction) — callers then run the Python
+    merge, which is state-identical.
+    """
+    if not available() or not _gk_envelope(eps_p, eps_q, first_n + second_n):
+        return None
+    inputs = [int64_array(column) for column in (*first, *second)]
+    if any(column is None for column in inputs):
+        return None
+    size = len(inputs[0]) + len(inputs[3])
+    out = [array("q", bytes(8 * size)) for _ in range(3)]
+    state = array("q", [first_n, second_n, max_item_count])
+    size = _lib.gk_merge(
+        *map(_address, inputs[:3]),
+        len(inputs[0]),
+        *map(_address, inputs[3:]),
+        len(inputs[3]),
+        _address(state),
+        eps_p,
+        eps_q,
+        1 if greedy else 0,
+        *map(_address, out),
+    )
+    if size == -1:  # pragma: no cover - allocation failure
+        raise MemoryError("the native GK merge could not allocate scratch")
+    if size < 0:
+        return None
+    for column in out:
+        del column[size:]
+    return out, state[2]
 
 
 def kll_batch(
@@ -282,8 +367,8 @@ def kll_batch(
         return None
     if n + len(batch) >= _COUNT_LIMIT:
         return None
-    keys = _int64_keys(batch)
-    items = _int64_keys([key for level in levels for key in level])
+    keys = int64_array(batch)
+    items = int64_array([key for level in levels for key in level])
     if keys is None or items is None:
         return None
     sizes = array("q", map(len, levels))

@@ -40,13 +40,17 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from operator import attrgetter
+from itertools import accumulate
+from operator import add, attrgetter
 
 from repro.errors import EmptySummaryError
 from repro.model.rankindex import RankIndex, build_index
 from repro.model.registry import register_descriptor
 from repro.model.summary import QuantileSummary, exact_fraction
+from repro.native import available as native_available
 from repro.native import gk_batch as native_gk_batch
+from repro.native import gk_merge as native_gk_merge
+from repro.native import int64_array, native_disabled
 from repro.persistence import decode_key, encode_key, epsilon_of
 from repro.universe.item import Item
 from repro.universe.universe import Universe
@@ -64,6 +68,54 @@ class _Tuple:
 
     def __repr__(self) -> str:
         return f"({self.value!r}, g={self.g}, delta={self.delta})"
+
+
+class _Columns:
+    """GK tuples as three int64 columns the summary owns: values, g, Delta.
+
+    The buffer-backed state of a columnar summary whose keys fit int64.  The
+    native kernels edit the columns in place; between calls each holds
+    exactly the live tuples.
+    """
+
+    __slots__ = ("values", "gs", "deltas")
+
+    def __init__(self, values: array, gs: array, deltas: array) -> None:
+        self.values = values
+        self.gs = gs
+        self.deltas = deltas
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def of(cls, tuples: list[_Tuple]) -> "_Columns | None":
+        """Pack ``tuples`` into owned buffers; None unless every key, g and
+        Delta is an int64 int."""
+        columns = [
+            int64_array([getattr(entry, name) for entry in tuples])
+            for name in _Tuple.__slots__
+        ]
+        if any(column is None for column in columns):
+            return None
+        return cls(*columns)
+
+
+def _columns(summary) -> tuple:
+    """The stored tuples as ``(values, gs, deltas)``, in order.
+
+    The one read of GK-shaped state for queries, the memory model, the
+    codec, the index and the merge.  Buffer-backed state hands out its own
+    columns (callers only read them); a ``_Tuple`` list is unzipped.
+    """
+    state = summary._tuples
+    if type(state) is _Columns:
+        return state.values, state.gs, state.deltas
+    return (
+        [entry.value for entry in state],
+        [entry.g for entry in state],
+        [entry.delta for entry in state],
+    )
 
 
 def _band(delta: int, p: int) -> int:
@@ -116,7 +168,12 @@ class _GKBase(QuantileSummary):
     ) -> None:
         super().__init__(float(epsilon))
         self._eps = exact_fraction(epsilon)
-        self._tuples: list[_Tuple] = []
+        self._two_eps = 2 * self._eps
+        # The stored tuples: a _Tuple list in the items lane and on the
+        # pure-Python path, owned int64 buffers on the native columnar path.
+        # Readers go through _columns(); the Python kernels through
+        # _tuple_list().
+        self._tuples: list[_Tuple] | _Columns = []
         self._since_compress = 0
         # Compress every floor(1/(2 eps)) insertions, as in [6].  The A4
         # ablation overrides the period to measure the space/time trade-off;
@@ -126,23 +183,38 @@ class _GKBase(QuantileSummary):
         self._compress_period = (
             compress_period
             if compress_period is not None
-            else max(1, int(1 / (2 * self._eps)))
+            else max(1, self._two_eps.denominator // self._two_eps.numerator)
         )
 
     # -- helpers -----------------------------------------------------------------
 
     def _threshold(self) -> int:
         """floor(2 eps n), the allowed uncertainty per tuple."""
-        return int(2 * self._eps * self._n)
+        return int(self._two_eps * self._n)
+
+    def _tuple_list(self) -> list[_Tuple]:
+        """The state as a ``_Tuple`` list, unpacking owned buffers first.
+
+        Run by every Python kernel: it is how state leaves the buffers when
+        the native kernel refuses a batch (or a caller inserts one key).
+        """
+        state = self._tuples
+        if type(state) is _Columns:
+            state = self._tuples = [
+                _Tuple(value, g, delta)
+                for value, g, delta in zip(state.values, state.gs, state.deltas)
+            ]
+        return state
 
     def _insert(self, item: Item) -> None:
-        position = bisect_right(self._tuples, item, key=lambda t: t.value)
-        if position == 0 or position == len(self._tuples):
+        tuples = self._tuple_list()
+        position = bisect_right(tuples, item, key=lambda t: t.value)
+        if position == 0 or position == len(tuples):
             # New minimum or maximum: its rank is known exactly.
             delta = 0
         else:
             delta = max(0, self._threshold() - 1)
-        self._tuples.insert(position, _Tuple(item, 1, delta))
+        tuples.insert(position, _Tuple(item, 1, delta))
         self._since_compress += 1
         if self._since_compress >= self._compress_period:
             self._compress()
@@ -167,14 +239,13 @@ class _GKBase(QuantileSummary):
         by_value = attrgetter("value")
         period = self._compress_period
         # floor(2 eps n) as integer arithmetic, hoisted out of the item loop.
-        two_eps = 2 * self._eps
-        p, q = two_eps.numerator, two_eps.denominator
+        p, q = self._two_eps.numerator, self._two_eps.denominator
         start, total = 0, len(batch)
         while start < total:
             take = min(period - self._since_compress, total - start)
             chunk = batch[start : start + take]
             start += take
-            tuples = self._tuples
+            tuples = self._tuple_list()
             len_old = len(tuples)
             values = [entry.value for entry in tuples]
             n = self._n
@@ -280,7 +351,7 @@ class _GKBase(QuantileSummary):
 
         Buffer-backed batches (``array('q')`` from the routing fast path or
         the frame wire) are consumed as-is: the kernels only slice and
-        read, and the native kernel memcpy-extends the buffer directly.
+        read, and the native kernel reads the buffer where it lies.
         """
         batch = values if isinstance(values, (list, array)) else list(values)
         if not batch:
@@ -293,33 +364,35 @@ class _GKBase(QuantileSummary):
             return
         self._process_batch(batch)
 
-    def _native_batch(self, batch: list) -> bool:
+    def _native_batch(self, batch) -> bool:
+        """Run ``batch`` through the native kernel; False to fall back.
+
+        The kernel edits the owned buffers in place.  A ``_Tuple`` list is
+        packed into buffers first, when the kernel can run at all and every
+        key fits int64.
+        """
         if self._native_greedy is None:
             return False
-        tuples = self._tuples
-        two_eps = 2 * self._eps
-        result = native_gk_batch(
-            [entry.value for entry in tuples],
-            [entry.g for entry in tuples],
-            [entry.delta for entry in tuples],
+        columns = self._tuples
+        if type(columns) is not _Columns:
+            columns = _Columns.of(columns) if native_available() else None
+            if columns is None:
+                return False
+            self._tuples = columns
+        counts = native_gk_batch(
+            [columns.values, columns.gs, columns.deltas],
             batch,
             self._n,
             self._since_compress,
             self._max_item_count,
             self._compress_period,
-            two_eps.numerator,
-            two_eps.denominator,
+            self._two_eps.numerator,
+            self._two_eps.denominator,
             self._native_greedy,
         )
-        if result is None:
+        if counts is None:
             return False
-        values, gs, deltas, self._n, self._since_compress, self._max_item_count = (
-            result
-        )
-        self._tuples = [
-            _Tuple(value, g, delta)
-            for value, g, delta in zip(values, gs, deltas)
-        ]
+        self._n, self._since_compress, self._max_item_count = counts
         return True
 
     def _demote_items(self) -> None:
@@ -330,19 +403,27 @@ class _GKBase(QuantileSummary):
         """
         if self._lane == "items":
             return
-        for entry in self._tuples:
+        for entry in self._tuple_list():
             if not isinstance(entry.value, Item):
                 entry.value = Item(Fraction(entry.value))
         self._lane = "items"
 
     def _promote_columnar(self, to_raw) -> bool:
-        """Adopt raw keys via the converter :mod:`repro.model.lanes` passes in."""
-        raws = [to_raw(entry.value) for entry in self._tuples]
+        """Adopt raw keys via the converter :mod:`repro.model.lanes` passes in.
+
+        Int64 keys move into owned buffers straight away, so a restored
+        summary takes the native path on its first ingest (the library
+        itself still compiles only then).
+        """
+        tuples = self._tuple_list()
+        raws = [to_raw(entry.value) for entry in tuples]
         if any(raw is None for raw in raws):
             return False
-        for entry, raw in zip(self._tuples, raws):
+        for entry, raw in zip(tuples, raws):
             entry.value = raw
         self._lane = "columnar"
+        if self._native_greedy is not None and not native_disabled():
+            self._tuples = _Columns.of(tuples) or tuples
         return True
 
     # -- queries -----------------------------------------------------------------
@@ -353,15 +434,15 @@ class _GKBase(QuantileSummary):
         rmin = 0
         best_item: Item | None = None
         best_excess = None
-        for entry in self._tuples:
-            rmin += entry.g
-            rmax = rmin + entry.delta
+        for value, g, delta in zip(*_columns(self)):
+            rmin += g
+            rmax = rmin + delta
             excess = max(target - rmin, rmax - target)
             if best_excess is None or excess < best_excess:
                 best_excess = excess
-                best_item = entry.value
+                best_item = value
             if target - rmin <= allowed and rmax - target <= allowed:
-                return entry.value
+                return value
         # The invariant guarantees the loop above returns; fall back to the
         # closest tuple for robustness (e.g. n == 1 edge cases).
         if best_item is None:
@@ -378,29 +459,30 @@ class _GKBase(QuantileSummary):
             self._demote_items()
         rmin = 0
         # Walk tuples from the left; item lies between two adjacent tuples.
-        for entry in self._tuples:
-            if item < entry.value:
+        for value, g, delta in zip(*_columns(self)):
+            if item < value:
                 # rank(item) lies in [rmin, rmin + g + delta - 1]; return the
                 # midpoint, whose error is at most (g + delta)/2 <= eps n.
                 lower = rmin
-                upper = rmin + entry.g + entry.delta - 1
+                upper = rmin + g + delta - 1
                 return max(0, (lower + upper) // 2)
-            rmin += entry.g
-            if item == entry.value:
-                return (2 * rmin + entry.delta) // 2
+            rmin += g
+            if item == value:
+                return (2 * rmin + delta) // 2
         return self._n
 
     # -- the model's memory ---------------------------------------------------------
 
     def item_array(self) -> list[Item]:
-        return [entry.value for entry in self._tuples]
+        return list(_columns(self)[0])
 
     def _item_count(self) -> int:
+        # len() of either representation: this runs after every process().
         return len(self._tuples)
 
     def fingerprint(self) -> tuple:
-        state = tuple((entry.g, entry.delta) for entry in self._tuples)
-        return (self.name, self._n, self._since_compress, state)
+        _, gs, deltas = _columns(self)
+        return (self.name, self._n, self._since_compress, tuple(zip(gs, deltas)))
 
 
 class GreenwaldKhanna(_GKBase):
@@ -411,9 +493,9 @@ class GreenwaldKhanna(_GKBase):
 
     def _compress(self) -> None:
         threshold = self._threshold()
-        if threshold < 1 or len(self._tuples) < 3:
+        tuples = self._tuple_list()
+        if threshold < 1 or len(tuples) < 3:
             return
-        tuples = self._tuples
         # Deltas cluster on a handful of distinct values (0 and the
         # thresholds at recent compress points), so memoise the band per
         # delta instead of re-deriving it for every tuple.
@@ -463,29 +545,26 @@ class GreenwaldKhannaGreedy(_GKBase):
 
     def _compress(self) -> None:
         threshold = self._threshold()
-        if threshold < 1 or len(self._tuples) < 3:
+        tuples = self._tuple_list()
+        if threshold < 1 or len(tuples) < 3:
             return
-        i = len(self._tuples) - 2
+        i = len(tuples) - 2
         while i >= 1:
-            entry = self._tuples[i]
-            successor = self._tuples[i + 1]
+            entry = tuples[i]
+            successor = tuples[i + 1]
             if entry.g + successor.g + successor.delta < threshold:
                 successor.g += entry.g
-                del self._tuples[i]
+                del tuples[i]
             i -= 1
 
 
 # -- merging (the "mergeable summaries" of [2]) -------------------------------------
 
 
-def _rank_bounds(summary: _GKBase) -> list[tuple[Item, int, int]]:
+def _rank_bounds(values, gs, deltas) -> list[tuple[Item, int, int]]:
     """(value, rmin, rmax) per stored tuple."""
-    bounds = []
-    rmin = 0
-    for entry in summary._tuples:
-        rmin += entry.g
-        bounds.append((entry.value, rmin, rmin + entry.delta))
-    return bounds
+    rmin = list(accumulate(gs))
+    return list(zip(values, rmin, map(add, rmin, deltas)))
 
 
 def _merged_bounds(
@@ -533,12 +612,32 @@ def merge_gk(first: _GKBase, second: _GKBase) -> _GKBase:
         # columnar side (a representation-only rebuild, state unchanged).
         first._demote_items()
         second._demote_items()
-    combined_eps = max(Fraction(first._eps), Fraction(second._eps))
+    combined_eps = max(first._eps, second._eps)
     merged = type(first)(combined_eps)
     merged._lane = first.lane
+    merged._n = first.n + second.n
+    columns_first, columns_second = _columns(first), _columns(second)
+    max_item_count = max(first.max_item_count, second.max_item_count)
+    if merged.lane == "columnar" and merged._native_greedy is not None:
+        # Two int64 states fold in C, the merged one buffer-backed; anything
+        # outside the kernel's envelope takes the Python fold below.
+        folded = native_gk_merge(
+            columns_first,
+            first.n,
+            columns_second,
+            second.n,
+            max_item_count,
+            merged._two_eps.numerator,
+            merged._two_eps.denominator,
+            merged._native_greedy,
+        )
+        if folded is not None:
+            columns, merged._max_item_count = folded
+            merged._tuples = _Columns(*columns)
+            return merged
 
-    bounds_first = _rank_bounds(first)
-    bounds_second = _rank_bounds(second)
+    bounds_first = _rank_bounds(*columns_first)
+    bounds_second = _rank_bounds(*columns_second)
     entries = _merged_bounds(bounds_first, bounds_second, second.n)
     entries += _merged_bounds(bounds_second, bounds_first, first.n)
     entries.sort(key=lambda entry: (entry[0], entry[1]))
@@ -557,10 +656,7 @@ def merge_gk(first: _GKBase, second: _GKBase) -> _GKBase:
         tuples.append(_Tuple(value, g, max(0, rmax - rmin)))
         previous_rmin = rmin
     merged._tuples = tuples
-    merged._n = first.n + second.n
-    merged._max_item_count = max(
-        len(tuples), first.max_item_count, second.max_item_count
-    )
+    merged._max_item_count = max(len(tuples), max_item_count)
     merged._compress()
     return merged
 
@@ -576,19 +672,12 @@ def compile_gk_index(summary: _GKBase) -> RankIndex:
     sequential ``_query`` scan and the ``"mid"`` rank rule reproduces
     ``estimate_rank`` bit for bit.
     """
-    items: list[Item] = []
-    rmin: list[int] = []
-    rmax: list[int] = []
-    cumulative = 0
-    for entry in summary._tuples:
-        cumulative += entry.g
-        items.append(entry.value)
-        rmin.append(cumulative)
-        rmax.append(cumulative + entry.delta)
+    values, gs, deltas = _columns(summary)
+    rmin = list(accumulate(gs))
     return build_index(
-        items=items,
+        items=list(values),
         rmin=rmin,
-        rmax=rmax,
+        rmax=list(map(add, rmin, deltas)),
         n=summary.n,
         q_round="floor",
         q_select="bounded",
@@ -602,10 +691,10 @@ def compile_gk_index(summary: _GKBase) -> RankIndex:
 
 def encode_gk_state(summary) -> dict:
     """Encode GK-shaped tuple state (also used by the biased summary)."""
+    values, gs, deltas = _columns(summary)
     return {
         "tuples": [
-            [encode_key(entry.value), entry.g, entry.delta]
-            for entry in summary._tuples
+            [encode_key(value), g, delta] for value, g, delta in zip(values, gs, deltas)
         ],
         "since_compress": summary._since_compress,
         "compress_period": summary._compress_period,

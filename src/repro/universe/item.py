@@ -103,7 +103,9 @@ class Item:
         Optional human-readable tag used by figures and debugging output.
     """
 
-    __slots__ = ("_key", "_counter", "label")
+    # _hash caches hash(_key) on first use: the key never changes, and
+    # _track_storage-style callers hash the same stored items over and over.
+    __slots__ = ("_key", "_counter", "label", "_hash")
 
     def __init__(
         self,
@@ -214,8 +216,13 @@ class Item:
 
     def __hash__(self) -> int:
         # Hashing is equality-compatible and reveals no ordering information,
-        # so dict/set membership (an equality test) remains permitted.
-        return hash(self._key)
+        # so dict/set membership (an equality test) remains permitted; it
+        # counts no comparison, so caching it changes no count.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._key)
+            return self._hash
 
     def __repr__(self) -> str:
         if self.label is not None:

@@ -6,11 +6,18 @@
 * **Seeded property.**  ``KLL._native_batch`` leaves exactly the state of
   ``KLL._process_batch``: compactors, ``n``, ``max_item_count``, the draw
   count and the full Mersenne Twister state, over capacities k = 2..456,
-  chunks of 1..4,096 values, int64 extremes and merged states.
+  chunks of 1..4,096 values, int64 extremes and merged states.  GK's
+  ``_native_batch`` (both variants) leaves exactly ``_process_batch``'s
+  keys, g, Delta, ``n``, ``since_compress`` and ``max_item_count`` over
+  eps 1/2..1/1000 and compress periods 1, 3, 7 and the default.
+* **Native fold.**  ``merge_gk`` of two buffer-backed GK summaries (the C
+  fold) equals the Python fold: tuples, ``n``, ``max_item_count`` and
+  compiled-index answers, with duplicate keys across the inputs and
+  unequal eps.
 * **Adversary (Definition 2.1).**  A comparison-based summary's state may
   depend only on the relative order of its input.  The streams pi and rho
-  that ``AdvStrategy`` builds against seeded KLL's ``Item`` path are
-  relabelled to int64 ranks (order kept) and replayed through
+  that ``AdvStrategy`` builds against seeded KLL's and GK's ``Item`` paths
+  are relabelled to int64 ranks (order kept) and replayed through
   ``process_numeric`` with the kernel on and off; both replays must land
   in the ``Item`` path's state, mapped through the relabelling.
 * **Loading.**  A cache directory that cannot be created means the Python
@@ -23,6 +30,7 @@ import ctypes
 import gc
 import random
 from array import array
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +38,13 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.core.adversary import build_adversarial_pair
+from repro.summaries import gk
+from repro.summaries.gk import (
+    GreenwaldKhanna,
+    GreenwaldKhannaGreedy,
+    compile_gk_index,
+    merge_gk,
+)
 from repro.summaries.kll import KLL, native_kernel_active
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -54,6 +69,23 @@ def columnar_kll(k: int, seed: int) -> KLL:
     summary = KLL(0.1, k=k, seed=seed)
     summary._lane = "columnar"
     return summary
+
+
+GK_VARIANTS = {"gk": GreenwaldKhanna, "gk-greedy": GreenwaldKhannaGreedy}
+
+
+def gk_state(summary) -> tuple:
+    values, gs, deltas = gk._columns(summary)
+    return (
+        list(zip(values, gs, deltas)),
+        summary.n,
+        summary._since_compress,
+        summary.max_item_count,
+    )
+
+
+def buffer_backed(summary) -> bool:
+    return type(summary._tuples) is gk._Columns
 
 
 # -- activity ---------------------------------------------------------------------
@@ -162,6 +194,108 @@ def test_an_over_capacity_level_zero_takes_the_per_item_branch(k):
     assert full_state(kernel) == full_state(python)
 
 
+@needs_native
+@given(
+    name=st.sampled_from(sorted(GK_VARIANTS)),
+    epsilon=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 64),
+                             Fraction(1, 100), Fraction(1, 1000)]),
+    period=st.sampled_from([None, 1, 3, 7]),
+    stream_seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from([3, 1000, 2**40, 2**63]),
+    chunks=st.lists(st.integers(1, 4096), min_size=1, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_gk_kernel_state_equals_the_python_kernel(
+    name, epsilon, period, stream_seed, span, chunks
+):
+    rng = random.Random(stream_seed)
+    python = GK_VARIANTS[name](epsilon, compress_period=period)
+    kernel = GK_VARIANTS[name](epsilon, compress_period=period)
+    python._lane = kernel._lane = "columnar"
+    for size in chunks:
+        values = seeded_values(rng, size, span)
+        python._process_batch(values)
+        assert kernel._native_batch(array("q", values) if size % 2 else values)
+        assert buffer_backed(kernel)
+        assert gk_state(kernel) == gk_state(python)
+
+
+def folded_with_python(first, second):
+    """``merge_gk`` with the native fold refused, so the Python fold runs."""
+    original = gk.native_gk_merge
+    gk.native_gk_merge = lambda *args: None
+    try:
+        return merge_gk(first, second)
+    finally:
+        gk.native_gk_merge = original
+
+
+@needs_native
+@given(
+    names=st.tuples(*[st.sampled_from(sorted(GK_VARIANTS))] * 2),
+    epsilons=st.tuples(
+        *[st.sampled_from([Fraction(1, 10), Fraction(1, 64), Fraction(1, 100), 0.02])] * 2
+    ),
+    stream_seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from([3, 50, 2**40, 2**63]),
+    sizes=st.tuples(st.integers(1, 6000), st.integers(1, 6000)),
+)
+@settings(max_examples=40, deadline=None)
+def test_native_fold_equals_the_python_fold(names, epsilons, stream_seed, span, sizes):
+    rng = random.Random(stream_seed)
+    shards = []
+    for name, epsilon, size in zip(names, epsilons, sizes):
+        shard = GK_VARIANTS[name](epsilon)
+        shard.process_numeric(seeded_values(rng, size, span))
+        assert buffer_backed(shard)
+        shards.append(shard)
+    first, second = shards
+    native_fold = merge_gk(first, second)
+    python_fold = folded_with_python(first, second)
+    assert buffer_backed(native_fold) and not buffer_backed(python_fold)
+    assert type(native_fold) is type(python_fold)
+    assert native_fold._eps == python_fold._eps
+    assert native_fold._compress_period == python_fold._compress_period
+    assert gk_state(native_fold) == gk_state(python_fold)
+    phis = [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]
+    probes = seeded_values(rng, 40, span)
+    native_index = compile_gk_index(native_fold)
+    python_index = compile_gk_index(python_fold)
+    assert native_index.quantile_many(phis) == python_index.quantile_many(phis)
+    assert native_index.rank_many(probes) == python_index.rank_many(probes)
+    # A fold of a fold (the merge tree's upper rounds) agrees too.
+    assert gk_state(merge_gk(native_fold, first)) == gk_state(
+        folded_with_python(python_fold, first)
+    )
+
+
+@needs_native
+def test_duplicate_keys_across_shards_fold_like_python():
+    """Equal keys in both inputs resolve to the same lower rank, which the
+    g <= 0 rule folds into the tuple already kept."""
+    for name in GK_VARIANTS:
+        first, second = GK_VARIANTS[name](0.1), GK_VARIANTS[name](0.1)
+        first.process_numeric([5, 5, 5, 1, 9] * 40)
+        second.process_numeric([5, 9, 5, 1, 5] * 40)
+        native_fold = merge_gk(first, second)
+        assert buffer_backed(native_fold)
+        assert gk_state(native_fold) == gk_state(folded_with_python(first, second))
+
+
+def test_out_of_envelope_folds_take_the_python_fold():
+    big = GreenwaldKhanna(0.1)
+    big.process_numeric([2**63 + 5, 1, 2])  # past int64: a _Tuple list
+    small = GreenwaldKhanna(0.1)
+    small.process_numeric([3, 4, 5])
+    assert not buffer_backed(big)
+    merged = merge_gk(big, small)
+    assert not buffer_backed(merged)
+    assert gk_state(merged) == gk_state(folded_with_python(big, small))
+    one = ([4], [1], [0])
+    assert native.gk_merge(([3], [0], [0]), 1, one, 1, 1, 1, 5, False) is None  # g < 1
+    assert native.gk_merge(([3, 1], [1, 1], [0, 0]), 2, one, 1, 2, 1, 5, False) is None  # order
+
+
 # -- the paper's adversary --------------------------------------------------------
 
 
@@ -172,17 +306,33 @@ def relabel(stream) -> dict:
     return {item: INT64_MIN + (rank + 1) * step for rank, item in enumerate(ordered)}
 
 
+def adversarial_summary(name: str, epsilon: float, capacity, seed: int):
+    if name == "kll":
+        return KLL(epsilon, k=capacity, seed=seed)
+    return GK_VARIANTS[name](epsilon)
+
+
 @pytest.mark.parametrize(
-    "epsilon, depth, capacity",
-    [(1 / 8, 6, 3), (1 / 8, 5, 8), (1 / 16, 5, None)],
+    "name, epsilon, depth, capacity",
+    [
+        pytest.param("kll", 1 / 8, 6, 3, id="0.125-6-3"),
+        pytest.param("kll", 1 / 8, 5, 8, id="0.125-5-8"),
+        pytest.param("kll", 1 / 16, 5, None, id="0.0625-5-None"),
+        pytest.param("gk", 1 / 8, 6, None, id="gk-0.125-6"),
+        pytest.param("gk", 1 / 16, 5, None, id="gk-0.0625-5"),
+        pytest.param("gk-greedy", 1 / 8, 6, None, id="gk-greedy-0.125-6"),
+        pytest.param("gk-greedy", 1 / 16, 5, None, id="gk-greedy-0.0625-5"),
+    ],
 )
 @pytest.mark.parametrize("kernel", ["native", "python"])
 def test_adversarial_streams_replay_to_the_item_path_state(
-    epsilon, depth, capacity, kernel, monkeypatch
+    name, epsilon, depth, capacity, kernel, monkeypatch
 ):
     seed = 7
     result = build_adversarial_pair(
-        lambda eps: KLL(eps, k=capacity, seed=seed), epsilon=epsilon, k=depth
+        lambda eps: adversarial_summary(name, eps, capacity, seed),
+        epsilon=epsilon,
+        k=depth,
     )
     if kernel == "native":
         if native.native_disabled() or native._compiler() is None:
@@ -196,18 +346,25 @@ def test_adversarial_streams_replay_to_the_item_path_state(
         (pair.stream_rho, pair.summary_rho),
     ):
         labels = relabel(stream)
-        replay = KLL(epsilon, k=capacity, seed=seed)
+        replay = adversarial_summary(name, epsilon, capacity, seed)
         keys = [labels[item] for item in stream]
         for start in range(0, len(keys), 37):
             replay.process_numeric(keys[start : start + 37])
         assert replay.lane == "columnar"
         assert replay.fingerprint() == reference.fingerprint()
         assert replay.max_item_count == reference.max_item_count
-        assert replay._rng_draws == reference._rng_draws
-        assert replay._rng.getstate() == reference._rng.getstate()
-        assert replay._compactors == [
-            [labels[item] for item in level] for level in reference._compactors
-        ]
+        if name == "kll":
+            assert replay._rng_draws == reference._rng_draws
+            assert replay._rng.getstate() == reference._rng.getstate()
+            assert replay._compactors == [
+                [labels[item] for item in level] for level in reference._compactors
+            ]
+        else:
+            assert buffer_backed(replay) == (kernel == "native")
+            values, gs, deltas = gk._columns(reference)
+            assert gk_state(replay)[0] == [
+                (labels[item], g, delta) for item, g, delta in zip(values, gs, deltas)
+            ]
     # The two replays are indistinguishable exactly when the Item paths are.
     assert pair.summary_pi.fingerprint() == pair.summary_rho.fingerprint()
 
@@ -221,9 +378,18 @@ def test_an_unusable_cache_directory_falls_back_to_python(tmp_path, monkeypatch)
     monkeypatch.setenv(native.CACHE_ENV, str(blocker / "cache"))
     monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(native, "_load_failed", False)
-    assert native.gk_batch([], [], [], [2, 1], 0, 0, 0, 10, 1, 10, False) is None
+    assert not native.available()
+    columns = [array("q"), array("q"), array("q")]
+    assert native.gk_batch(columns, [2, 1], 0, 0, 0, 10, 1, 10, False) is None
+    assert columns == [array("q")] * 3
+    one = ([3], [1], [0])
+    assert native.gk_merge(one, 1, one, 1, 1, 1, 5, False) is None
     state = random.Random(0).getstate()[1]
     assert native.kll_batch([[]], [2, 1], 0, 0, 0, (4, 2), state) is None
+    summary = GreenwaldKhanna(0.1)
+    summary.process_numeric([2, 1, 3])
+    assert not buffer_backed(summary)
+    assert not buffer_backed(merge_gk(summary, summary))
 
 
 # -- ctypes types -----------------------------------------------------------------
@@ -240,11 +406,15 @@ def ctypes_array_types() -> int:
 @needs_native
 def test_kernel_calls_create_no_ctypes_array_types():
     state = random.Random(0).getstate()[1]
-    native.gk_batch([], [], [], [5], 0, 0, 0, 10, 1, 10, False)
+    one = ([3], [1], [0])
+    native.gk_batch([array("q") for _ in range(3)], [5], 0, 0, 0, 10, 1, 10, False)
+    native.gk_merge(one, 1, one, 1, 1, 1, 5, False)
     native.kll_batch([[]], [5], 0, 0, 0, (4, 2), state)
     before = ctypes_array_types()
     for length in range(1, 60):
         batch = list(range(length * 1000, length * 1001))
-        assert native.gk_batch([], [], [], batch, 0, 0, 0, 10, 1, 10, False)
+        columns = [array("q"), array("q"), array("q")]
+        assert native.gk_batch(columns, batch, 0, 0, 0, 10, 1, 10, False)
+        assert native.gk_merge(columns, length, one, 1, 1, 1, 5, length % 2 == 0)
         assert native.kll_batch([[]], batch, 0, 0, 0, (4, 2), state)
     assert ctypes_array_types() == before
